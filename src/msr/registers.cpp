@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/expect.h"
 #include "common/units.h"
@@ -80,18 +81,48 @@ double decode_time_window(std::uint32_t field, const RaplUnits& u) {
          (1.0 + static_cast<double>(z) / 4.0) * u.seconds_per_unit();
 }
 
-std::uint64_t encode_power_limit(const PowerLimit& pl, const RaplUnits& u) {
+std::uint32_t TimeWindowMemo::encode(double seconds, const RaplUnits& u) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &seconds, sizeof bits);
+  if (!valid_ || bits != seconds_bits_ || u.time_unit_bits != time_unit_bits_) {
+    field_ = encode_time_window(seconds, u);
+    seconds_bits_ = bits;
+    time_unit_bits_ = u.time_unit_bits;
+    valid_ = true;
+  }
+  return field_;
+}
+
+namespace {
+
+std::uint64_t pack_power_limit(const PowerLimit& pl, const RaplUnits& u,
+                               std::uint32_t long_window,
+                               std::uint32_t short_window) {
   std::uint64_t raw = 0;
   field_set(raw, 0, 15, watts_to_limit_units(pl.long_term_w, u));
   field_set(raw, 15, 1, pl.long_term_enabled ? 1 : 0);
   field_set(raw, 16, 1, pl.long_term_clamped ? 1 : 0);
-  field_set(raw, 17, 7, encode_time_window(pl.long_term_window_s, u));
+  field_set(raw, 17, 7, long_window);
   field_set(raw, 32, 15, watts_to_limit_units(pl.short_term_w, u));
   field_set(raw, 47, 1, pl.short_term_enabled ? 1 : 0);
   field_set(raw, 48, 1, pl.short_term_clamped ? 1 : 0);
-  field_set(raw, 49, 7, encode_time_window(pl.short_term_window_s, u));
+  field_set(raw, 49, 7, short_window);
   field_set(raw, 63, 1, pl.locked ? 1 : 0);
   return raw;
+}
+
+}  // namespace
+
+std::uint64_t encode_power_limit(const PowerLimit& pl, const RaplUnits& u) {
+  return pack_power_limit(pl, u, encode_time_window(pl.long_term_window_s, u),
+                          encode_time_window(pl.short_term_window_s, u));
+}
+
+std::uint64_t encode_power_limit(const PowerLimit& pl, const RaplUnits& u,
+                                 TimeWindowMemo& long_window,
+                                 TimeWindowMemo& short_window) {
+  return pack_power_limit(pl, u, long_window.encode(pl.long_term_window_s, u),
+                          short_window.encode(pl.short_term_window_s, u));
 }
 
 PowerLimit decode_power_limit(std::uint64_t raw, const RaplUnits& u) {

@@ -64,6 +64,22 @@ RaplUnits decode_rapl_units(std::uint64_t raw);
 std::uint32_t encode_time_window(double seconds, const RaplUnits& u);
 double decode_time_window(std::uint32_t field, const RaplUnits& u);
 
+/// Exact last-input memo in front of encode_time_window.  A cap writer
+/// re-encodes the same window on every power-limit write (DUFP rewrites
+/// the cap each interval, a fleet allocator every epoch); a hit replays
+/// the field the exhaustive search produced for the identical (seconds
+/// bit pattern, time unit) input, so the register bits cannot change.
+class TimeWindowMemo {
+ public:
+  std::uint32_t encode(double seconds, const RaplUnits& u);
+
+ private:
+  std::uint64_t seconds_bits_ = 0;
+  unsigned time_unit_bits_ = 0;
+  std::uint32_t field_ = 0;
+  bool valid_ = false;
+};
+
 // ---------------------------------------------------------------------------
 // MSR_PKG_POWER_LIMIT (0x610)
 //
@@ -92,6 +108,11 @@ struct PowerLimit {
 };
 
 std::uint64_t encode_power_limit(const PowerLimit& pl, const RaplUnits& u);
+/// Same bits, with the two window fields served through per-constraint
+/// memos (the write path of a zone that owns them).
+std::uint64_t encode_power_limit(const PowerLimit& pl, const RaplUnits& u,
+                                 TimeWindowMemo& long_window,
+                                 TimeWindowMemo& short_window);
 PowerLimit decode_power_limit(std::uint64_t raw, const RaplUnits& u);
 
 // ---------------------------------------------------------------------------

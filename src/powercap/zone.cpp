@@ -67,7 +67,8 @@ msr::PowerLimit PackageZone::read_limit() const {
 }
 
 void PackageZone::write_limit(const msr::PowerLimit& pl) {
-  dev_.write(0, kMsrPkgPowerLimit, encode_power_limit(pl, units_));
+  dev_.write(0, kMsrPkgPowerLimit,
+             encode_power_limit(pl, units_, long_window_, short_window_));
 }
 
 std::uint64_t PackageZone::power_limit_uw(int constraint) const {

@@ -82,6 +82,10 @@ class PackageZone final : public Zone {
   msr::MsrDevice& dev_;
   int socket_id_;
   msr::RaplUnits units_;
+  /// The windows rarely change while the caps move every interval, so
+  /// each constraint's window field is re-encoded only when it does.
+  msr::TimeWindowMemo long_window_;
+  msr::TimeWindowMemo short_window_;
 };
 
 /// DRAM RAPL subzone ("intel-rapl:<socket>:0").  Energy readable; limit

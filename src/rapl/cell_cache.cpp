@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/expect.h"
+
 namespace dufp::rapl {
 
 namespace {
@@ -43,28 +45,35 @@ bool same_edge_inputs(const hw::SocketConfig& a, const hw::SocketConfig& b) {
          ma.prefetch_coeff == mb.prefetch_coeff;
 }
 
-/// Fixed table geometry: 2^15 slots at 3/4 max load ≈ 24k resident
-/// edges (a full tournament grid pins a few thousand distinct edges) in
-/// ~4 MB, allocated once so the in-run paths never touch the heap.
-constexpr std::size_t kSlotBits = 15;
+/// Fixed table geometry: 2^16 slots of 40 bytes (2.5 MiB) at 3/4 max
+/// load, so 49 152 edges stay resident — a 1024-socket capped fleet pins
+/// ~29k distinct edges per pass, a tournament grid a few thousand.
+/// Allocated once so the in-run paths never touch the heap.
+constexpr std::size_t kSlotBits = 16;
 constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
 constexpr std::size_t kMaxResident = kSlots - kSlots / 4;
 
+std::uint64_t mix(std::uint64_t x) {
+  // splitmix64 finalizer: every input bit reaches the low (index) bits,
+  // which matters because the double words differ mostly up high.
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
 std::uint64_t hash_key(const SharedCellCache::Key& k) {
-  // FNV-1a over the key words; cheap and fine for a process-local table.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::uint64_t w : k) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (w >> (8 * b)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  }
+  std::uint64_t h = 0;
+  for (const std::uint64_t w : k) h = mix(h ^ w);
   return h;
 }
 
 }  // namespace
 
 SharedCellCache::SharedCellCache() : slots_(kSlots) {
+  static_assert(sizeof(Slot) == 40, "table geometry assumes 40-byte slots");
   const char* env = std::getenv("DUFP_SHARED_CELL_CACHE");
   enabled_ = env == nullptr || std::strcmp(env, "0") != 0;
 }
@@ -85,23 +94,26 @@ std::uint32_t SharedCellCache::intern_config(const hw::SocketConfig& cfg) {
   return static_cast<std::uint32_t>(configs_.size() - 1);
 }
 
+EdgeInputs::EdgeInputs(double effective_uncore_mhz, double cpu_activity,
+                       double mem_activity)
+    : uncore_mhz(bits_of(effective_uncore_mhz)),
+      cpu_activity(bits_of(cpu_activity)),
+      mem_activity(bits_of(mem_activity)) {}
+
+EdgeInputs EdgeInputs::of(const hw::SocketModel& socket) {
+  return EdgeInputs(socket.effective_uncore_mhz(),
+                    socket.demand().cpu_activity,
+                    socket.demand().mem_activity);
+}
+
 SharedCellCache::Key SharedCellCache::make_key(std::uint32_t config_id,
                                                std::size_t idx,
-                                               double unc_min, double unc_max,
-                                               const hw::PhaseDemand& d) {
-  return Key{config_id,
-             static_cast<std::uint64_t>(idx),
-             bits_of(unc_min),
-             bits_of(unc_max),
-             bits_of(d.w_cpu),
-             bits_of(d.w_mem),
-             bits_of(d.w_unc),
-             bits_of(d.w_fixed),
-             bits_of(d.flops_rate_ref),
-             bits_of(d.bytes_rate_ref),
-             bits_of(d.cpu_activity),
-             bits_of(d.mem_activity),
-             d.idle ? 1u : 0u};
+                                               const EdgeInputs& in) {
+  // A full 32-bit id together with a full 32-bit index would spell the
+  // empty marker; neither comes close (configs and P-states number tens).
+  DUFP_EXPECT(config_id < 0xffffffffu && idx <= 0xffffffffu);
+  return Key{std::uint64_t{config_id} << 32 | static_cast<std::uint64_t>(idx),
+             in.uncore_mhz, in.cpu_activity, in.mem_activity};
 }
 
 /// Linear probe to the key's slot (used, matching) or its insertion
@@ -109,7 +121,7 @@ SharedCellCache::Key SharedCellCache::make_key(std::uint32_t config_id,
 /// truly full — inserts stop at kMaxResident — so the walk terminates.
 std::size_t SharedCellCache::probe_locked(const Key& key) const {
   std::size_t i = static_cast<std::size_t>(hash_key(key)) & (kSlots - 1);
-  while (slots_[i].used && slots_[i].key != key) {
+  while (slots_[i].used() && slots_[i].key != key) {
     i = (i + 1) & (kSlots - 1);
   }
   return i;
@@ -119,7 +131,7 @@ bool SharedCellCache::lookup(const Key& key, double* edge) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return false;
   const Slot& slot = slots_[probe_locked(key)];
-  if (!slot.used) {
+  if (!slot.used()) {
     ++stats_.misses;
     return false;
   }
@@ -133,14 +145,13 @@ void SharedCellCache::insert(const Key& key, double edge) {
   if (!enabled_) return;
   Slot& slot = slots_[probe_locked(key)];
   // First writer wins; a racing build computed the identical bits.
-  if (slot.used) return;
+  if (slot.used()) return;
   if (resident_ >= kMaxResident) {
     ++stats_.full_drops;
     return;
   }
   slot.key = key;
   slot.edge = edge;
-  slot.used = true;
   ++resident_;
   ++stats_.inserts;
 }
@@ -160,7 +171,7 @@ void SharedCellCache::clear() {
   // Interned configs survive: governors hold their dense ids for the
   // process lifetime, and recycling an id would alias two different
   // configs under one key.  Only the edges (and stats) reset.
-  for (Slot& slot : slots_) slot.used = false;
+  for (Slot& slot : slots_) slot.key[0] = kEmpty;
   resident_ = 0;
   stats_ = GlobalStats{};
 }

@@ -2,20 +2,24 @@
 //
 // A cell edge — the exact IEEE-754 double where the governor's P-state
 // search output flips to grid state `idx` — is a pure function of
-//   (socket numeric parameters, P-state index, uncore window, PhaseDemand):
+//   (socket numeric parameters, P-state index, effective uncore clock,
+//    demand.cpu_activity, demand.mem_activity):
 // the bit-lattice bisection in FirmwareGovernor::lowest_allowance_reaching
-// probes only SocketModel::core_mhz_for_power / package_power_at, whose
-// inputs are exactly those values.  Two governors anywhere in the process
-// whose keys match therefore compute bit-equal edges, so a shared
-// read-only cache behind the per-governor ways is invisible to the
-// byte-identity contract: a hit replays the identical double the local
-// bisection would have produced.
+// reaches the socket only through SocketModel::package_power_at and
+// SocketModel::core_mhz_for_power, and the power model behind both reads
+// exactly those values.  The uncore window and the idle flag matter only
+// through the effective uncore clock they select; the time-composition
+// weights and the reference rates never reach the power model.  Two
+// governors anywhere in the process whose keys match therefore compute
+// bit-equal edges, so a shared read-only cache behind the per-governor
+// ways is invisible to the byte-identity contract: a hit replays the
+// identical double the local bisection would have produced.
 //
 // This is the cross-run amortization layer of the batched multi-run
 // engine: repetition 2..N of a cell, the other sockets of the same
-// machine, and every same-config cell of a grid start warm instead of
-// re-running ~25 planner probes per (P-state, window, demand) tuple —
-// the single largest cost of a cold tournament grid (~40% of wall time).
+// machine, every same-config cell of a grid, and every node of a fleet
+// whose sockets share an operating point start warm instead of
+// re-running ~25 planner probes per edge.
 //
 // Concurrency: a single mutex guards the table (lane-group threads and
 // the plan's ThreadPool workers all land here).  Lookups are rare
@@ -32,10 +36,10 @@
 // GlobalStats::full_drops); correctness is unaffected, later runs just
 // rebuild those edges locally.
 //
-// Keys compare the *bit patterns* of every double input (never ==):
+// Keys compare the *bit patterns* of the double inputs (never ==):
 // conservative — a -0.0 vs +0.0 mismatch costs a duplicate build, never
 // a wrong edge.  Socket configs are interned by exact field comparison
-// into small ids so the per-edge key stays a flat array of words
+// into small ids so the per-edge key stays four flat words
 // (interning allocates, but only at governor construction).
 #pragma once
 
@@ -44,8 +48,8 @@
 #include <mutex>
 #include <vector>
 
-#include "hwmodel/demand.h"
 #include "hwmodel/socket_config.h"
+#include "hwmodel/socket_model.h"
 
 namespace dufp::rapl {
 
@@ -68,11 +72,29 @@ struct CellStats {
   }
 };
 
+/// The socket state a cell edge reads besides the config and the P-state
+/// index, as bit patterns.  One identity for both cache tiers: the
+/// governor's ways content-match on it and the shared key embeds it.
+struct EdgeInputs {
+  std::uint64_t uncore_mhz = 0;    ///< bits of effective_uncore_mhz()
+  std::uint64_t cpu_activity = 0;  ///< bits of demand().cpu_activity
+  std::uint64_t mem_activity = 0;  ///< bits of demand().mem_activity
+
+  EdgeInputs() = default;
+  EdgeInputs(double effective_uncore_mhz, double cpu_activity,
+             double mem_activity);
+  /// The inputs at the socket's current window and demand.
+  static EdgeInputs of(const hw::SocketModel& socket);
+
+  friend bool operator==(const EdgeInputs&, const EdgeInputs&) = default;
+};
+
 class SharedCellCache {
  public:
-  /// Flat key: [config id, P-state index, uncore window min/max bits,
-  /// the eight PhaseDemand doubles as bits, the idle flag].
-  using Key = std::array<std::uint64_t, 13>;
+  /// Flat key: [config id << 32 | P-state index, then the EdgeInputs
+  /// words].  A first word of all ones marks an empty slot, which no
+  /// make_key result can carry.
+  using Key = std::array<std::uint64_t, 4>;
 
   static SharedCellCache& instance();
 
@@ -83,11 +105,10 @@ class SharedCellCache {
   /// ignored: renaming a part must not split the cache.
   std::uint32_t intern_config(const hw::SocketConfig& cfg);
 
-  /// Builds the per-edge key from the interned config and the live
-  /// search inputs.
+  /// Builds the per-edge key from the interned config, the P-state index
+  /// and the edge inputs.
   static Key make_key(std::uint32_t config_id, std::size_t idx,
-                      double unc_min, double unc_max,
-                      const hw::PhaseDemand& demand);
+                      const EdgeInputs& inputs);
 
   /// True (filling *edge) when the key is cached.  Counts a global hit.
   bool lookup(const Key& key, double* edge);
@@ -120,12 +141,15 @@ class SharedCellCache {
  private:
   SharedCellCache();
 
-  /// One open-addressing slot; `used` never reverts outside clear(), so
-  /// plain linear probing stays correct (no tombstones needed).
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  /// One open-addressing slot (40 bytes); empty while key[0] == kEmpty.
+  /// A slot never empties outside clear(), so plain linear probing stays
+  /// correct (no tombstones needed).
   struct Slot {
-    Key key{};
+    Key key{kEmpty, 0, 0, 0};
     double edge = 0.0;
-    bool used = false;
+    bool used() const { return key[0] != kEmpty; }
   };
 
   std::size_t probe_locked(const Key& key) const;

@@ -186,20 +186,20 @@ double FirmwareGovernor::cell_edge(std::size_t idx) const {
     return ways[0].edge;
   };
   for (std::size_t w = 0; w < kCellWays; ++w) {
-    if (ways[w].valid && ways[w].version == ver) {
+    if (ways[w].version == ver) {
       ++cell_stats_.local_hits;
       return promote(w);
     }
   }
   // The state moved (uncore retune, phase change); it may still be one
   // seen before — DUFP controllers sweep the uncore window range and
-  // workloads revisit phases, so match by content and re-confirm.
-  const hw::PhaseDemand& d = socket_.demand();
-  const double umin = socket_.uncore_window_min_mhz();
-  const double umax = socket_.uncore_window_max_mhz();
+  // workloads revisit phases, so match by content and re-confirm.  Only
+  // what the edge reads takes part: a window move that leaves the
+  // effective uncore clock alone, or a phase differing only in its
+  // time-composition weights, keeps its edges.
+  const EdgeInputs in = EdgeInputs::of(socket_);
   for (std::size_t w = 0; w < kCellWays; ++w) {
-    if (ways[w].valid && ways[w].unc_min == umin && ways[w].unc_max == umax &&
-        ways[w].demand == d) {
+    if (ways[w].version != 0 && ways[w].inputs == in) {
       ways[w].version = ver;
       ++cell_stats_.local_hits;
       return promote(w);
@@ -213,9 +213,9 @@ double FirmwareGovernor::cell_edge(std::size_t idx) const {
   // still runs.
   SharedCellCache& shared = SharedCellCache::instance();
   const SharedCellCache::Key key =
-      SharedCellCache::make_key(shared_cfg_, idx, umin, umax, d);
+      SharedCellCache::make_key(shared_cfg_, idx, in);
   CellSlot& slot = ways[kCellWays - 1];
-  if (slot.valid) ++cell_stats_.way_evictions;
+  if (slot.version != 0) ++cell_stats_.way_evictions;
   double edge;
   if (shared.lookup(key, &edge)) {
     ++cell_stats_.shared_hits;
@@ -224,12 +224,9 @@ double FirmwareGovernor::cell_edge(std::size_t idx) const {
     ++cell_stats_.cold_builds;
     shared.insert(key, edge);
   }
-  slot.edge = edge;
   slot.version = ver;
-  slot.unc_min = umin;
-  slot.unc_max = umax;
-  slot.demand = d;
-  slot.valid = true;
+  slot.inputs = in;
+  slot.edge = edge;
   return promote(kCellWays - 1);
 }
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/ring_buffer.h"
-#include "hwmodel/demand.h"
 #include "hwmodel/socket_model.h"
 #include "msr/registers.h"
 #include "rapl/cell_cache.h"
@@ -131,10 +130,10 @@ class FirmwareGovernor {
   /// a monotone step function of the allowance), and the exact cell
   /// edges — the precise doubles where the search output flips, pinned
   /// by bisecting the IEEE-754 bit lattice with probes of the real
-  /// search — are cached per P-state, keyed on the uncore window and the
-  /// phase demand (the search's only other inputs).  Locating the
-  /// allowance's cell costs a few comparisons; the bisection runs only
-  /// when an edge is first needed for a never-seen socket state.
+  /// search — are cached per P-state, keyed on the effective uncore clock
+  /// and the two activity factors (the search's only other inputs).
+  /// Locating the allowance's cell costs a few comparisons; the bisection
+  /// runs only when an edge is first needed for a never-seen socket state.
   double planned_limit_mhz() const;
 
   /// Reference implementation of the same decision via a fresh P-state
@@ -152,18 +151,18 @@ class FirmwareGovernor {
  private:
   /// One cached edge of the allowance→P-state partition: the exact
   /// double where the P-state search first reaches the state `idx` steps
-  /// above core_min.  Keyed on the inputs the search depends on besides
-  /// the allowance, so edges survive a DUFP controller hunting the
-  /// uncore window and workloads revisiting phases; kCellWays
-  /// alternatives per state cover a controller alternating between a few
-  /// operating points without thrash.
+  /// above core_min.  Content-matched on the edge's inputs besides the
+  /// allowance (the same EdgeInputs identity the shared cache keys on),
+  /// so edges survive a DUFP controller hunting the uncore window and
+  /// workloads revisiting phases; kCellWays alternatives per state cover
+  /// a controller alternating between a few operating points without
+  /// thrash.
   struct CellSlot {
-    std::uint64_t version = 0;  ///< state version at last confirmation
-    double unc_min = 0.0;       ///< uncore window the edge was built for
-    double unc_max = 0.0;
-    hw::PhaseDemand demand;     ///< demand the edge was built for
+    /// State version at last confirmation; 0 marks an empty way (socket
+    /// state versions start at 1).
+    std::uint64_t version = 0;
+    EdgeInputs inputs;  ///< what the edge was built for
     double edge = 0.0;
-    bool valid = false;
   };
   /// A DUFP controller's uncore hunt sweeps the full ratio range (a dozen
   /// or more distinct windows), so the ways must cover the whole sweep or

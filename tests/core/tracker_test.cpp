@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
 
 namespace dufp::core {
@@ -172,12 +173,21 @@ TEST_F(PhaseTrackerTest, InvalidThresholdOrderingRejected) {
 }
 
 // OI boundary sweep: classification must be exact at the thresholds.
+//
+// CMake's gtest discovery names each case after the bytes gtest prints
+// for its parameter, so every byte of OiCase is spelled out. Left as
+// padding, the five bytes after the flags were uninitialised and each
+// build registered the cases under different ctest names. `name_tag`
+// fixes them at the bytes the cases are registered under; the test never
+// reads it.
 struct OiCase {
   double oi;
   bool memory;
   bool highly_memory;
   bool highly_cpu;
+  std::array<unsigned char, 5> name_tag;
 };
+static_assert(sizeof(OiCase) == 16, "OiCase must have no padding");
 
 class TrackerOiSweep : public ::testing::TestWithParam<OiCase> {};
 
@@ -193,16 +203,17 @@ TEST_P(TrackerOiSweep, Classification) {
 
 INSTANTIATE_TEST_SUITE_P(
     Boundaries, TrackerOiSweep,
-    ::testing::Values(OiCase{0.005, true, true, false},
-                      OiCase{0.019, true, true, false},
-                      OiCase{0.021, true, false, false},
-                      OiCase{0.5, true, false, false},
-                      OiCase{0.999, true, false, false},
-                      OiCase{1.001, false, false, false},
-                      OiCase{50.0, false, false, false},
-                      OiCase{99.0, false, false, false},
-                      OiCase{101.0, false, false, true},
-                      OiCase{400.0, false, false, true}));
+    ::testing::Values(
+        OiCase{0.005, true, true, false, {0x4B, 0xEE, 0x36, 0xC0, 0x00}},
+        OiCase{0.019, true, true, false, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF}},
+        OiCase{0.021, true, false, false, {0x06, 0x7E, 0x55, 0x00, 0x00}},
+        OiCase{0.5, true, false, false, {0x06, 0x7E, 0x55, 0x00, 0x00}},
+        OiCase{0.999, true, false, false, {0x75, 0x36, 0x7F, 0x00, 0x00}},
+        OiCase{1.001, false, false, false, {0x4B, 0xEE, 0x36, 0xC0, 0x00}},
+        OiCase{50.0, false, false, false, {0x4B, 0xEE, 0x36, 0xC0, 0x00}},
+        OiCase{99.0, false, false, false, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF}},
+        OiCase{101.0, false, false, true, {0x06, 0x7E, 0x55, 0x00, 0x00}},
+        OiCase{400.0, false, false, true, {0x00, 0x00, 0x00, 0x00, 0x00}}));
 
 }  // namespace
 }  // namespace dufp::core

@@ -12,6 +12,7 @@
 
 #include "fleet/plan.h"
 #include "fleet/spec.h"
+#include "rapl/cell_cache.h"
 
 namespace dufp::fleet {
 namespace {
@@ -121,6 +122,47 @@ TEST(NodeRunTest, LaneBatchedNodesMatchSequentialBytes) {
           << "node " << nodes[i] << " drifted at lane width " << lanes;
     }
   }
+}
+
+TEST(NodeRunTest, SharedCellCacheOnMatchesOffBytes) {
+  // The fleet is where the shared cell-edge cache earns most and where a
+  // too-narrow key would hand one socket another's edges: each epoch
+  // rescales both activities with the node's traffic, and the capped
+  // sockets cross many P-state edges.  The benchmark's leap-off re-run
+  // shares the same edge tables, so the cache-on ≡ cache-off identity
+  // is pinned here (tests/rapl/cell_cache_test.cpp covers each key input
+  // on its own).
+  FleetSpec spec = small_spec();
+  spec.allocator = "fastcap";
+  spec.epochs = 6;
+  const AllocationPlan plan = plan_allocations(spec);
+  const std::vector<std::size_t> nodes{0, 1, 2, 3};
+
+  auto& shared = rapl::SharedCellCache::instance();
+  const bool was_enabled = shared.enabled();
+  const auto run_all = [&](bool cache_on) {
+    shared.set_enabled(cache_on);
+    shared.clear();
+    std::vector<std::string> out;
+    for (const FleetNodeResult& r :
+         run_fleet_nodes(spec, nodes, plan, /*time_leap=*/true, /*lanes=*/1)) {
+      out.push_back(encode_node_result(r).dump());
+    }
+    return out;
+  };
+  const std::vector<std::string> off = run_all(false);
+  const std::vector<std::string> on = run_all(true);
+  const auto stats = shared.stats();
+  shared.clear();
+  shared.set_enabled(was_enabled);
+
+  ASSERT_EQ(on.size(), off.size());
+  for (std::size_t i = 0; i < on.size(); ++i) {
+    EXPECT_EQ(on[i], off[i]) << "node " << nodes[i]
+                             << " drifted with the shared cache on";
+  }
+  EXPECT_GT(stats.hits, 0u) << "no edge was shared — the compare is vacuous";
+  EXPECT_EQ(stats.full_drops, 0u);
 }
 
 TEST(NodeRunTest, OutOfRangeNodeThrows) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace dufp::msr {
 namespace {
@@ -55,6 +56,90 @@ TEST(TimeWindowTest, PaperDefaultWindows) {
 TEST(TimeWindowTest, FieldIsSevenBits) {
   const RaplUnits u;
   EXPECT_LE(encode_time_window(1e6, u), 0x7Fu);
+}
+
+/// Windows that stress the (Y, Z) search: zero, sub-unit values, exact
+/// ties between neighbouring representable windows, every representable
+/// window and its neighbours, and values past the 2^31 * 1.75 top.
+std::vector<double> window_sweep(const RaplUnits& u) {
+  const double tu = u.seconds_per_unit();
+  std::vector<double> out{0.0, -0.0, tu * 1e-9, tu * 0.25, tu * 0.5,
+                          tu * 0.999, 0.001, 0.01, 0.00976, 0.1, 1.0};
+  double pow2 = 1.0;
+  for (int y = 0; y < 32; ++y, pow2 *= 2.0) {
+    for (int z = 0; z < 4; ++z) {
+      const double w = pow2 * (1.0 + z / 4.0) * tu;
+      const double next = z < 3 ? pow2 * (1.0 + (z + 1) / 4.0) * tu
+                                : 2.0 * pow2 * tu;
+      out.push_back(w);
+      out.push_back(std::nextafter(w, 0.0));
+      out.push_back(std::nextafter(w, 1e300));
+      out.push_back(0.5 * (w + next));  // exact tie between neighbours
+      out.push_back(std::nextafter(0.5 * (w + next), 0.0));
+      out.push_back(std::nextafter(0.5 * (w + next), 1e300));
+    }
+  }
+  const double top = std::ldexp(1.75, 31) * tu;
+  for (const double above : {top * 1.0000001, top * 1.2, top * 4.0,
+                             top * 1e6, 1e300}) {
+    out.push_back(above);
+  }
+  return out;
+}
+
+TEST(TimeWindowTest, TiesGoToTheShorterWindow) {
+  const RaplUnits u;
+  const double tu = u.seconds_per_unit();
+  // 1.125 units sits exactly between 1 (field 0) and 1.25 (Y=0, Z=1).
+  EXPECT_EQ(encode_time_window(1.125 * tu, u), 0u);
+  EXPECT_EQ(encode_time_window(std::nextafter(1.125 * tu, 1.0), u), 1u << 5);
+  // Past the top of the range the largest window is the closest.
+  EXPECT_EQ(encode_time_window(std::ldexp(1.75, 31) * tu * 1.2, u), 0x7Fu);
+}
+
+TEST(TimeWindowTest, MemoMatchesExhaustiveSearch) {
+  // The memo must return exactly what the exhaustive search returns for
+  // every input, whether it hits (repeat) or misses (new window, or the
+  // same seconds under a different time unit).
+  TimeWindowMemo memo;
+  for (const unsigned tu_bits : {10u, 10u, 0u, 15u, 10u}) {
+    RaplUnits u;
+    u.time_unit_bits = tu_bits;
+    for (const double s : window_sweep(u)) {
+      const std::uint32_t want = encode_time_window(s, u);
+      EXPECT_EQ(memo.encode(s, u), want) << "miss, window " << s;
+      EXPECT_EQ(memo.encode(s, u), want) << "hit, window " << s;
+    }
+  }
+  // A unit change alone must invalidate: 1 s is field Y=10 at TU=10 but
+  // Y=0 at TU=0.
+  RaplUnits tu10;
+  RaplUnits tu0;
+  tu0.time_unit_bits = 0;
+  EXPECT_EQ(memo.encode(1.0, tu10), encode_time_window(1.0, tu10));
+  EXPECT_EQ(memo.encode(1.0, tu0), encode_time_window(1.0, tu0));
+  EXPECT_NE(encode_time_window(1.0, tu10), encode_time_window(1.0, tu0));
+}
+
+TEST(PowerLimitTest, MemoizedEncodeMatchesPlain) {
+  const RaplUnits u;
+  TimeWindowMemo long_memo;
+  TimeWindowMemo short_memo;
+  const std::vector<double> windows = window_sweep(u);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    PowerLimit pl;
+    pl.long_term_w = 40.0 + static_cast<double>(i % 97);
+    pl.long_term_window_s = windows[(i / 3) % windows.size()];
+    pl.long_term_enabled = i % 2 == 0;
+    pl.long_term_clamped = i % 3 == 0;
+    pl.short_term_w = 60.0 + static_cast<double>(i % 89);
+    pl.short_term_window_s = windows[(i * 7 / 5) % windows.size()];
+    pl.short_term_enabled = i % 5 != 0;
+    pl.locked = i % 11 == 0;
+    EXPECT_EQ(encode_power_limit(pl, u, long_memo, short_memo),
+              encode_power_limit(pl, u))
+        << "step " << i;
+  }
 }
 
 TEST(PowerLimitTest, RoundTripBothConstraints) {

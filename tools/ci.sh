@@ -372,11 +372,15 @@ assert warm["cold_builds"] == 0, (
     f"warm repeat ran {warm['cold_builds']} cold edge builds (want 0)")
 assert doc["sequential"]["cells"]["shared_hits"] == 0, (
     "sequential leg must run with the shared cache off")
+# A full shared edge table silently turns hits back into bisections;
+# overflow fails CI instead of costing time unnoticed.
+drops = doc["shared_cache"]["full_drops"]
+assert drops == 0, f"shared cell-edge table overflowed: {drops} dropped inserts"
 cold = doc["speedup"]["batched_cold_vs_sequential"]
 assert cold >= min_grid, (
     f"grid gate: batched_cold_vs_sequential {cold:.2f}x < floor {min_grid}x")
 print(f"grid gate: batched_cold {cold:.2f}x >= {min_grid}x, warm repeat "
-      f"fully warm, bytes identical")
+      f"fully warm, no table overflow, bytes identical")
 EOF
 
 # Archive the gated numbers per commit so regressions can be bisected
