@@ -2,9 +2,16 @@
 //
 // Scope is deliberately narrow: deterministic, dependency-free round-trip
 // of the JSON the shard layer emits itself (specs, JSONL result lines).
-// Objects preserve insertion order (no hashing, no sorting) so a value
-// serializes back to the exact byte sequence it was built in — the shard
-// gatherer's byte-identity guarantees depend on that.
+// Two layers share one byte format:
+//
+//   - Writer / Reader stream one *canonical* document (compact, members
+//     in a fixed order, no whitespace) to and from a byte buffer with no
+//     intermediate tree.  The shard result records are written and read
+//     this way: one writer and one in-order reader per payload, so the
+//     bytes a record decodes from are exactly the bytes it re-encodes to.
+//   - Value is an insertion-ordered tree for the documents whose readers
+//     must be tolerant (specs, manifests, wire headers).  Value::dump
+//     emits through the Writer, so both layers escape identically.
 //
 // Numbers are kept as their raw token text on parse and re-emitted
 // verbatim, so a file can be parsed and rewritten without any
@@ -23,6 +30,7 @@
 namespace dufp::json {
 
 class Value;
+class Writer;
 
 /// Insertion-ordered key→value list (shard files have a handful of keys;
 /// linear find is fine and keeps serialization deterministic).
@@ -79,6 +87,8 @@ class Value {
   void dump_to(std::string& out) const;
 
  private:
+  void write_to(Writer& w) const;
+
   Kind kind_;
   bool bool_ = false;
   std::string scalar_;  // number token or string payload
@@ -90,8 +100,109 @@ class Value {
 /// Throws std::runtime_error with the byte offset on malformed input.
 Value parse(std::string_view text);
 
-/// JSON string escaping (the subset dump() emits).
-void escape_string(std::string_view s, std::string& out);
+// -- streaming canonical documents -------------------------------------------
+
+/// Appends one compact canonical JSON document to a string: exactly the
+/// bytes Value::dump would emit for the same tree.  Calls must describe a
+/// well-formed document (key() before every object member, balanced
+/// begin/end); the writer tracks only where commas go.
+class Writer {
+ public:
+  explicit Writer(std::string& out) : out_(out) {}
+
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
+  /// The next object member's key.
+  void key(std::string_view name);
+
+  void null() { scalar("null"); }
+  void boolean(bool b) { scalar(b ? "true" : "false"); }
+  void u64(std::uint64_t v);
+  void i64(std::int64_t v);
+  /// `v`'s IEEE-754 bit pattern as a 16-hex-digit string (double_to_hex).
+  void hex(double v);
+  void string(std::string_view s);
+  /// An already-encoded value (a number token, or a whole sub-document),
+  /// copied verbatim.
+  void raw(std::string_view bytes) { scalar(bytes); }
+
+ private:
+  void separate() {
+    if (comma_) out_ += ',';
+    comma_ = true;
+  }
+  void open(char c) {
+    separate();
+    out_ += c;
+    comma_ = false;
+  }
+  void close(char c) {
+    out_ += c;
+    comma_ = true;
+  }
+  void scalar(std::string_view token) {
+    separate();
+    out_ += token;
+  }
+
+  std::string& out_;
+  bool comma_ = false;  ///< the next value or key needs a ',' first
+};
+
+/// A bounds-checked cursor reading one canonical document in order — the
+/// inverse of Writer.  Anything the Writer would not have produced (other
+/// key order, an unknown or missing key, whitespace, a non-canonical
+/// number, string escape or hex double) is an error: every read throws
+/// std::runtime_error naming the byte offset instead of guessing.  Reads
+/// never look past the end of the view.
+class Reader {
+ public:
+  explicit Reader(std::string_view text) : text_(text) {}
+
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
+  /// Array iteration: true when another element follows (its ',' is
+  /// consumed), false after consuming the closing ']'.
+  bool next();
+  /// Expects the next object member to be exactly `name`.
+  void key(std::string_view name);
+  /// A trailing optional member: false (nothing consumed) when the
+  /// object ends here, otherwise key(name).
+  bool optional_key(std::string_view name);
+
+  std::uint64_t u64();
+  std::int64_t i64();
+  double hex();
+  std::string string();
+  bool boolean();
+  /// Skips one value and returns its exact bytes.  Checks structure only
+  /// (brackets balance and nest in kind, strings terminate, nesting is
+  /// bounded); the span's grammar is checked by whichever reader decodes
+  /// it.
+  std::string_view skip_value();
+
+  /// Expects the end of the text: one document, nothing after it.
+  void finish();
+
+  /// Throws std::runtime_error for `what` at the current offset — also
+  /// for payload-level checks (an out-of-range enum) made by a codec.
+  [[noreturn]] void error(const std::string& what) const;
+
+ private:
+  char peek() const;
+  void expect(char c);
+  void open(char c);
+  void close(char c);
+  void separate();
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  bool comma_ = false;  ///< the next value or key must be preceded by ','
+};
 
 // -- bit-exact double transport ---------------------------------------------
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/expect.h"
@@ -29,10 +30,30 @@ namespace dufp::fleet {
 
 namespace {
 
-using json::Value;
+// The record's fields in wire order; one table drives both the writer
+// and the reader (see harness/shard_codec.cpp for the convention).
+constexpr std::pair<const char*, double EpochRecord::*> kEpochFields[] = {
+    {"alloc_w", &EpochRecord::alloc_w},
+    {"demand_w", &EpochRecord::demand_w},
+    {"intensity", &EpochRecord::intensity},
+    {"wall_seconds", &EpochRecord::wall_seconds},
+    {"pkg_energy_j", &EpochRecord::pkg_energy_j},
+    {"dram_energy_j", &EpochRecord::dram_energy_j},
+};
 
-Value hex(double v) { return Value::make_string(json::double_to_hex(v)); }
-double unhex(const Value& v) { return json::hex_to_double(v.as_string()); }
+constexpr std::pair<const char*, double FleetNodeResult::*>
+    kNodeHexFields[] = {
+        {"exec_seconds", &FleetNodeResult::exec_seconds},
+        {"pkg_energy_j", &FleetNodeResult::pkg_energy_j},
+        {"dram_energy_j", &FleetNodeResult::dram_energy_j},
+        {"avg_speed", &FleetNodeResult::avg_speed},
+};
+
+constexpr std::pair<const char*, std::uint64_t FleetNodeResult::*>
+    kNodeCountFields[] = {
+        {"faults_injected", &FleetNodeResult::faults_injected},
+        {"degradations", &FleetNodeResult::degradations},
+};
 
 /// The time-weighted mean of an app's phase sequence: one PhaseSpec that
 /// consumes the same FLOPs, bytes and actuator sensitivity per second as
@@ -111,48 +132,68 @@ workloads::WorkloadProfile node_profile(const FleetSpec& spec,
 
 }  // namespace
 
-json::Value encode_node_result(const FleetNodeResult& result) {
-  Value o = Value::make_object();
-  Value epochs = Value::make_array();
+std::string write_node_result(const FleetNodeResult& result) {
+  std::string out;
+  json::Writer w(out);
+  w.begin_object();
+  w.key("epochs");
+  w.begin_array();
   for (const EpochRecord& e : result.epochs) {
-    Value rec = Value::make_object();
-    rec.add("alloc_w", hex(e.alloc_w));
-    rec.add("demand_w", hex(e.demand_w));
-    rec.add("intensity", hex(e.intensity));
-    rec.add("wall_seconds", hex(e.wall_seconds));
-    rec.add("pkg_energy_j", hex(e.pkg_energy_j));
-    rec.add("dram_energy_j", hex(e.dram_energy_j));
-    epochs.push_back(std::move(rec));
+    w.begin_object();
+    for (const auto& [key, field] : kEpochFields) {
+      w.key(key);
+      w.hex(e.*field);
+    }
+    w.end_object();
   }
-  o.add("epochs", std::move(epochs));
-  o.add("exec_seconds", hex(result.exec_seconds));
-  o.add("pkg_energy_j", hex(result.pkg_energy_j));
-  o.add("dram_energy_j", hex(result.dram_energy_j));
-  o.add("avg_speed", hex(result.avg_speed));
-  o.add("faults_injected", Value::make_u64(result.faults_injected));
-  o.add("degradations", Value::make_u64(result.degradations));
-  return o;
+  w.end_array();
+  for (const auto& [key, field] : kNodeHexFields) {
+    w.key(key);
+    w.hex(result.*field);
+  }
+  for (const auto& [key, field] : kNodeCountFields) {
+    w.key(key);
+    w.u64(result.*field);
+  }
+  w.end_object();
+  return out;
+}
+
+FleetNodeResult read_node_result(std::string_view bytes) {
+  FleetNodeResult result;
+  json::Reader r(bytes);
+  r.begin_object();
+  r.key("epochs");
+  r.begin_array();
+  while (r.next()) {
+    EpochRecord e;
+    r.begin_object();
+    for (const auto& [key, field] : kEpochFields) {
+      r.key(key);
+      e.*field = r.hex();
+    }
+    r.end_object();
+    result.epochs.push_back(e);
+  }
+  for (const auto& [key, field] : kNodeHexFields) {
+    r.key(key);
+    result.*field = r.hex();
+  }
+  for (const auto& [key, field] : kNodeCountFields) {
+    r.key(key);
+    result.*field = r.u64();
+  }
+  r.end_object();
+  r.finish();
+  return result;
+}
+
+json::Value encode_node_result(const FleetNodeResult& result) {
+  return json::parse(write_node_result(result));
 }
 
 FleetNodeResult decode_node_result(const json::Value& v) {
-  FleetNodeResult result;
-  for (const Value& rec : v.at("epochs").as_array()) {
-    EpochRecord e;
-    e.alloc_w = unhex(rec.at("alloc_w"));
-    e.demand_w = unhex(rec.at("demand_w"));
-    e.intensity = unhex(rec.at("intensity"));
-    e.wall_seconds = unhex(rec.at("wall_seconds"));
-    e.pkg_energy_j = unhex(rec.at("pkg_energy_j"));
-    e.dram_energy_j = unhex(rec.at("dram_energy_j"));
-    result.epochs.push_back(e);
-  }
-  result.exec_seconds = unhex(v.at("exec_seconds"));
-  result.pkg_energy_j = unhex(v.at("pkg_energy_j"));
-  result.dram_energy_j = unhex(v.at("dram_energy_j"));
-  result.avg_speed = unhex(v.at("avg_speed"));
-  result.faults_injected = v.at("faults_injected").as_u64();
-  result.degradations = v.at("degradations").as_u64();
-  return result;
+  return read_node_result(v.dump());
 }
 
 /// Everything a prepared node run owns.  Heap-held behind the pimpl so

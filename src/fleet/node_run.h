@@ -25,6 +25,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -61,7 +63,13 @@ struct FleetNodeResult {
 };
 
 /// Bit-exact JSON codec for the fleet wire (doubles travel as IEEE-754
-/// hex, see harness/shard_codec.h for the convention).
+/// hex, see harness/shard_codec.h for the convention): one canonical
+/// writer and its in-order reader, which throws std::runtime_error with
+/// the byte offset on any record the writer would not have produced.
+std::string write_node_result(const FleetNodeResult& result);
+FleetNodeResult read_node_result(std::string_view bytes);
+
+/// Tree adapters over write_node_result / read_node_result.
 json::Value encode_node_result(const FleetNodeResult& result);
 FleetNodeResult decode_node_result(const json::Value& v);
 

@@ -41,10 +41,10 @@ void run_fleet_shard(const FleetSpec& spec,
         // one interleaved engine pass per wave of DUFP_LANES nodes.
         const std::vector<FleetNodeResult> results =
             run_fleet_nodes(spec, nodes, plan);
-        std::vector<Value> payloads;
+        std::vector<std::string> payloads;
         payloads.reserve(results.size());
         for (const FleetNodeResult& r : results) {
-          payloads.push_back(encode_node_result(r));
+          payloads.push_back(write_node_result(r));
         }
         return payloads;
       },
@@ -58,8 +58,8 @@ FleetGatherReport gather_fleet_report(const FleetSpec& spec,
   report.results.resize(spec.topology.node_count());
   const harness::WireGatherReport wire = harness::gather_wire(
       fleet_wire_identity(spec), files, options,
-      [&report](std::size_t job, const Value& result) {
-        report.results[job] = decode_node_result(result);
+      [&report](std::size_t job, std::string_view result) {
+        report.results[job] = read_node_result(result);
       });
   report.job_count = wire.job_count;
   report.have = wire.have;

@@ -231,10 +231,10 @@ void run_shard(const GridSpec& spec, const ShardRunOptions& options,
       id, options,
       [&gp, threads](const std::vector<std::size_t>& indices) {
         const auto results = gp.plan.run_jobs(indices, threads);
-        std::vector<Value> payloads;
+        std::vector<std::string> payloads;
         payloads.reserve(results.size());
         for (const RunResult& r : results) {
-          payloads.push_back(encode_run_result(r));
+          payloads.push_back(write_run_result(r));
         }
         return payloads;
       },
@@ -251,8 +251,9 @@ GatherReport gather_shards_report(const GridSpec& spec,
   GatherReport report;
   report.results.resize(id.job_count);
   WireGatherReport wire = gather_wire(
-      id, files, options, [&report](std::size_t job, const Value& result) {
-        report.results[job] = decode_run_result(result);
+      id, files, options,
+      [&report](std::size_t job, std::string_view result) {
+        report.results[job] = read_run_result(result);
       });
 
   report.job_count = wire.job_count;

@@ -1,321 +1,451 @@
 #include "harness/shard_codec.h"
 
-#include <stdexcept>
+#include <limits>
+#include <utility>
 
 namespace dufp::harness {
 
 namespace {
 
-using json::Value;
+using json::Reader;
+using json::Writer;
 
-Value hex(double v) { return Value::make_string(json::double_to_hex(v)); }
+// Flat structs travel as one object of named fields in a fixed order; a
+// field table drives both directions, so the writer and the reader
+// cannot disagree on a key or its position.
+template <typename T, typename Field>
+using FieldTable = std::pair<const char*, Field T::*>;
 
-double unhex(const Value& v) { return json::hex_to_double(v.as_string()); }
+constexpr FieldTable<HealthTotals, std::uint64_t> kHealthFields[] = {
+    {"actuation_retries", &HealthTotals::actuation_retries},
+    {"actuation_failures", &HealthTotals::actuation_failures},
+    {"sample_read_failures", &HealthTotals::sample_read_failures},
+    {"samples_rejected", &HealthTotals::samples_rejected},
+    {"degradations", &HealthTotals::degradations},
+    {"reengagements", &HealthTotals::reengagements},
+    {"intervals_degraded", &HealthTotals::intervals_degraded},
+    {"faults_injected", &HealthTotals::faults_injected},
+};
 
-Value encode_health(const HealthTotals& h) {
-  Value o = Value::make_object();
-  o.add("actuation_retries", Value::make_u64(h.actuation_retries));
-  o.add("actuation_failures", Value::make_u64(h.actuation_failures));
-  o.add("sample_read_failures", Value::make_u64(h.sample_read_failures));
-  o.add("samples_rejected", Value::make_u64(h.samples_rejected));
-  o.add("degradations", Value::make_u64(h.degradations));
-  o.add("reengagements", Value::make_u64(h.reengagements));
-  o.add("intervals_degraded", Value::make_u64(h.intervals_degraded));
-  o.add("faults_injected", Value::make_u64(h.faults_injected));
-  return o;
+constexpr FieldTable<core::AgentHealth, std::uint64_t> kAgentHealthFields[] = {
+    {"actuation_retries", &core::AgentHealth::actuation_retries},
+    {"actuation_failures", &core::AgentHealth::actuation_failures},
+    {"sample_read_failures", &core::AgentHealth::sample_read_failures},
+    {"samples_rejected", &core::AgentHealth::samples_rejected},
+    {"degradations", &core::AgentHealth::degradations},
+    {"reengage_failures", &core::AgentHealth::reengage_failures},
+    {"reengagements", &core::AgentHealth::reengagements},
+    {"intervals_degraded", &core::AgentHealth::intervals_degraded},
+};
+
+constexpr FieldTable<core::AgentStats, std::uint64_t> kAgentStatsFields[] = {
+    {"intervals", &core::AgentStats::intervals},
+    {"uncore_decreases", &core::AgentStats::uncore_decreases},
+    {"uncore_increases", &core::AgentStats::uncore_increases},
+    {"uncore_resets", &core::AgentStats::uncore_resets},
+    {"cap_decreases", &core::AgentStats::cap_decreases},
+    {"cap_increases", &core::AgentStats::cap_increases},
+    {"cap_resets", &core::AgentStats::cap_resets},
+    {"cap_overshoot_resets", &core::AgentStats::cap_overshoot_resets},
+    {"short_term_tightenings", &core::AgentStats::short_term_tightenings},
+    {"uncore_reset_retries", &core::AgentStats::uncore_reset_retries},
+    {"pstate_pins", &core::AgentStats::pstate_pins},
+    {"pstate_releases", &core::AgentStats::pstate_releases},
+};
+
+constexpr FieldTable<sim::RunSummary, double> kSummaryFields[] = {
+    {"exec_seconds", &sim::RunSummary::exec_seconds},
+    {"pkg_energy_j", &sim::RunSummary::pkg_energy_j},
+    {"dram_energy_j", &sim::RunSummary::dram_energy_j},
+    {"avg_pkg_power_w", &sim::RunSummary::avg_pkg_power_w},
+    {"avg_dram_power_w", &sim::RunSummary::avg_dram_power_w},
+    {"total_gflop", &sim::RunSummary::total_gflop},
+    {"total_gbytes", &sim::RunSummary::total_gbytes},
+};
+
+constexpr FieldTable<sim::PhaseTotals, double> kPhaseFields[] = {
+    {"wall_seconds", &sim::PhaseTotals::wall_seconds},
+    {"pkg_energy_j", &sim::PhaseTotals::pkg_energy_j},
+    {"dram_energy_j", &sim::PhaseTotals::dram_energy_j},
+};
+
+template <typename T, std::size_t N>
+void write_u64s(Writer& w, const T& s,
+                const FieldTable<T, std::uint64_t> (&fields)[N]) {
+  for (const auto& [key, field] : fields) {
+    w.key(key);
+    w.u64(s.*field);
+  }
 }
 
-HealthTotals decode_health(const Value& v) {
-  HealthTotals h;
-  h.actuation_retries = v.at("actuation_retries").as_u64();
-  h.actuation_failures = v.at("actuation_failures").as_u64();
-  h.sample_read_failures = v.at("sample_read_failures").as_u64();
-  h.samples_rejected = v.at("samples_rejected").as_u64();
-  h.degradations = v.at("degradations").as_u64();
-  h.reengagements = v.at("reengagements").as_u64();
-  h.intervals_degraded = v.at("intervals_degraded").as_u64();
-  h.faults_injected = v.at("faults_injected").as_u64();
-  return h;
+template <typename T, std::size_t N>
+void read_u64s(Reader& r, T& s,
+               const FieldTable<T, std::uint64_t> (&fields)[N]) {
+  for (const auto& [key, field] : fields) {
+    r.key(key);
+    s.*field = r.u64();
+  }
 }
 
-Value encode_agent_health(const core::AgentHealth& h) {
-  Value o = Value::make_object();
-  o.add("actuation_retries", Value::make_u64(h.actuation_retries));
-  o.add("actuation_failures", Value::make_u64(h.actuation_failures));
-  o.add("sample_read_failures", Value::make_u64(h.sample_read_failures));
-  o.add("samples_rejected", Value::make_u64(h.samples_rejected));
-  o.add("degradations", Value::make_u64(h.degradations));
-  o.add("reengage_failures", Value::make_u64(h.reengage_failures));
-  o.add("reengagements", Value::make_u64(h.reengagements));
-  o.add("intervals_degraded", Value::make_u64(h.intervals_degraded));
-  return o;
+template <typename T, std::size_t N>
+void write_hexes(Writer& w, const T& s,
+                 const FieldTable<T, double> (&fields)[N]) {
+  for (const auto& [key, field] : fields) {
+    w.key(key);
+    w.hex(s.*field);
+  }
 }
 
-core::AgentHealth decode_agent_health(const Value& v) {
-  core::AgentHealth h;
-  h.actuation_retries = v.at("actuation_retries").as_u64();
-  h.actuation_failures = v.at("actuation_failures").as_u64();
-  h.sample_read_failures = v.at("sample_read_failures").as_u64();
-  h.samples_rejected = v.at("samples_rejected").as_u64();
-  h.degradations = v.at("degradations").as_u64();
-  h.reengage_failures = v.at("reengage_failures").as_u64();
-  h.reengagements = v.at("reengagements").as_u64();
-  h.intervals_degraded = v.at("intervals_degraded").as_u64();
-  return h;
+template <typename T, std::size_t N>
+void read_hexes(Reader& r, T& s, const FieldTable<T, double> (&fields)[N]) {
+  for (const auto& [key, field] : fields) {
+    r.key(key);
+    s.*field = r.hex();
+  }
 }
 
-Value encode_agent_stats(const core::AgentStats& a) {
-  Value o = Value::make_object();
-  o.add("intervals", Value::make_u64(a.intervals));
-  o.add("uncore_decreases", Value::make_u64(a.uncore_decreases));
-  o.add("uncore_increases", Value::make_u64(a.uncore_increases));
-  o.add("uncore_resets", Value::make_u64(a.uncore_resets));
-  o.add("cap_decreases", Value::make_u64(a.cap_decreases));
-  o.add("cap_increases", Value::make_u64(a.cap_increases));
-  o.add("cap_resets", Value::make_u64(a.cap_resets));
-  o.add("cap_overshoot_resets", Value::make_u64(a.cap_overshoot_resets));
-  o.add("short_term_tightenings", Value::make_u64(a.short_term_tightenings));
-  o.add("uncore_reset_retries", Value::make_u64(a.uncore_reset_retries));
-  o.add("pstate_pins", Value::make_u64(a.pstate_pins));
-  o.add("pstate_releases", Value::make_u64(a.pstate_releases));
-  o.add("health", encode_agent_health(a.health));
-  return o;
+/// An integer field whose C++ type is narrower than the wire's: values
+/// the writer could never have produced are rejected, not truncated.
+template <typename Int>
+Int read_narrow(Reader& r, std::int64_t lo, std::int64_t hi,
+                const char* what) {
+  const std::int64_t v = r.i64();
+  if (v < lo || v > hi) r.error(std::string("out-of-range ") + what);
+  return static_cast<Int>(v);
 }
 
-core::AgentStats decode_agent_stats(const Value& v) {
+std::uint16_t read_u16(Reader& r, const char* what) {
+  const std::uint64_t v = r.u64();
+  if (v > std::numeric_limits<std::uint16_t>::max()) {
+    r.error(std::string("out-of-range ") + what);
+  }
+  return static_cast<std::uint16_t>(v);
+}
+
+void write_agent_stats(Writer& w, const core::AgentStats& a) {
+  w.begin_object();
+  write_u64s(w, a, kAgentStatsFields);
+  w.key("health");
+  w.begin_object();
+  write_u64s(w, a.health, kAgentHealthFields);
+  w.end_object();
+  w.end_object();
+}
+
+core::AgentStats read_agent_stats(Reader& r) {
   core::AgentStats a;
-  a.intervals = v.at("intervals").as_u64();
-  a.uncore_decreases = v.at("uncore_decreases").as_u64();
-  a.uncore_increases = v.at("uncore_increases").as_u64();
-  a.uncore_resets = v.at("uncore_resets").as_u64();
-  a.cap_decreases = v.at("cap_decreases").as_u64();
-  a.cap_increases = v.at("cap_increases").as_u64();
-  a.cap_resets = v.at("cap_resets").as_u64();
-  a.cap_overshoot_resets = v.at("cap_overshoot_resets").as_u64();
-  a.short_term_tightenings = v.at("short_term_tightenings").as_u64();
-  a.uncore_reset_retries = v.at("uncore_reset_retries").as_u64();
-  a.pstate_pins = v.at("pstate_pins").as_u64();
-  a.pstate_releases = v.at("pstate_releases").as_u64();
-  a.health = decode_agent_health(v.at("health"));
+  r.begin_object();
+  read_u64s(r, a, kAgentStatsFields);
+  r.key("health");
+  r.begin_object();
+  read_u64s(r, a.health, kAgentHealthFields);
+  r.end_object();
+  r.end_object();
   return a;
 }
 
-Value encode_metric(const telemetry::MetricSample& m) {
-  Value o = Value::make_object();
-  o.add("type", Value::make_i64(static_cast<int>(m.type)));
-  o.add("name", Value::make_string(m.name));
-  o.add("help", Value::make_string(m.help));
-  Value labels = Value::make_array();
+void write_metric(Writer& w, const telemetry::MetricSample& m) {
+  w.begin_object();
+  w.key("type");
+  w.i64(static_cast<int>(m.type));
+  w.key("name");
+  w.string(m.name);
+  w.key("help");
+  w.string(m.help);
+  w.key("labels");
+  w.begin_array();
   for (const auto& [k, val] : m.labels) {
-    Value pair = Value::make_array();
-    pair.push_back(Value::make_string(k));
-    pair.push_back(Value::make_string(val));
-    labels.push_back(std::move(pair));
+    w.begin_array();
+    w.string(k);
+    w.string(val);
+    w.end_array();
   }
-  o.add("labels", std::move(labels));
-  o.add("value", hex(m.value));
-  Value bounds = Value::make_array();
-  for (const double b : m.bucket_bounds) bounds.push_back(hex(b));
-  o.add("bucket_bounds", std::move(bounds));
-  Value counts = Value::make_array();
-  for (const std::uint64_t c : m.bucket_counts) {
-    counts.push_back(Value::make_u64(c));
-  }
-  o.add("bucket_counts", std::move(counts));
-  o.add("sum", hex(m.sum));
-  o.add("count", Value::make_u64(m.count));
-  return o;
+  w.end_array();
+  w.key("value");
+  w.hex(m.value);
+  w.key("bucket_bounds");
+  w.begin_array();
+  for (const double b : m.bucket_bounds) w.hex(b);
+  w.end_array();
+  w.key("bucket_counts");
+  w.begin_array();
+  for (const std::uint64_t c : m.bucket_counts) w.u64(c);
+  w.end_array();
+  w.key("sum");
+  w.hex(m.sum);
+  w.key("count");
+  w.u64(m.count);
+  w.end_object();
 }
 
-telemetry::MetricSample decode_metric(const Value& v) {
+telemetry::MetricSample read_metric(Reader& r) {
   telemetry::MetricSample m;
-  const auto type = v.at("type").as_i64();
-  if (type < 0 || type > static_cast<int>(telemetry::MetricType::histogram)) {
-    throw std::runtime_error("shard_codec: bad metric type");
+  r.begin_object();
+  r.key("type");
+  m.type = read_narrow<telemetry::MetricType>(
+      r, 0, static_cast<int>(telemetry::MetricType::histogram), "metric type");
+  r.key("name");
+  m.name = r.string();
+  r.key("help");
+  m.help = r.string();
+  r.key("labels");
+  r.begin_array();
+  while (r.next()) {
+    r.begin_array();
+    std::string k = r.string();
+    std::string val = r.string();
+    r.end_array();
+    m.labels.emplace_back(std::move(k), std::move(val));
   }
-  m.type = static_cast<telemetry::MetricType>(type);
-  m.name = v.at("name").as_string();
-  m.help = v.at("help").as_string();
-  for (const Value& pair : v.at("labels").as_array()) {
-    const auto& kv = pair.as_array();
-    if (kv.size() != 2) throw std::runtime_error("shard_codec: bad label");
-    m.labels.emplace_back(kv[0].as_string(), kv[1].as_string());
-  }
-  m.value = unhex(v.at("value"));
-  for (const Value& b : v.at("bucket_bounds").as_array()) {
-    m.bucket_bounds.push_back(unhex(b));
-  }
-  for (const Value& c : v.at("bucket_counts").as_array()) {
-    m.bucket_counts.push_back(c.as_u64());
-  }
-  m.sum = unhex(v.at("sum"));
-  m.count = v.at("count").as_u64();
+  r.key("value");
+  m.value = r.hex();
+  r.key("bucket_bounds");
+  r.begin_array();
+  while (r.next()) m.bucket_bounds.push_back(r.hex());
+  r.key("bucket_counts");
+  r.begin_array();
+  while (r.next()) m.bucket_counts.push_back(r.u64());
+  r.key("sum");
+  m.sum = r.hex();
+  r.key("count");
+  m.count = r.u64();
+  r.end_object();
   return m;
 }
 
-Value encode_event(const telemetry::Event& e) {
-  Value o = Value::make_object();
-  o.add("t_us", Value::make_i64(e.t_us));
-  o.add("kind", Value::make_i64(static_cast<int>(e.kind)));
-  o.add("socket", Value::make_u64(e.socket));
-  o.add("code", Value::make_u64(e.code));
-  o.add("a", hex(e.a));
-  o.add("b", hex(e.b));
-  return o;
+void write_event(Writer& w, const telemetry::Event& e) {
+  w.begin_object();
+  w.key("t_us");
+  w.i64(e.t_us);
+  w.key("kind");
+  w.i64(static_cast<int>(e.kind));
+  w.key("socket");
+  w.u64(e.socket);
+  w.key("code");
+  w.u64(e.code);
+  w.key("a");
+  w.hex(e.a);
+  w.key("b");
+  w.hex(e.b);
+  w.end_object();
 }
 
-telemetry::Event decode_event(const Value& v) {
+telemetry::Event read_event(Reader& r) {
   telemetry::Event e;
-  e.t_us = v.at("t_us").as_i64();
-  const auto kind = v.at("kind").as_i64();
-  if (kind < 0 || kind >= telemetry::kEventKindCount) {
-    throw std::runtime_error("shard_codec: bad event kind");
-  }
-  e.kind = static_cast<telemetry::EventKind>(kind);
-  e.socket = static_cast<std::uint16_t>(v.at("socket").as_u64());
-  e.code = static_cast<std::uint16_t>(v.at("code").as_u64());
-  e.a = unhex(v.at("a"));
-  e.b = unhex(v.at("b"));
+  r.begin_object();
+  r.key("t_us");
+  e.t_us = r.i64();
+  r.key("kind");
+  e.kind = read_narrow<telemetry::EventKind>(
+      r, 0, telemetry::kEventKindCount - 1, "event kind");
+  r.key("socket");
+  e.socket = read_u16(r, "event socket");
+  r.key("code");
+  e.code = read_u16(r, "event code");
+  r.key("a");
+  e.a = r.hex();
+  r.key("b");
+  e.b = r.hex();
+  r.end_object();
   return e;
+}
+
+void write_events(Writer& w, const std::vector<telemetry::Event>& events) {
+  w.begin_array();
+  for (const auto& e : events) write_event(w, e);
+  w.end_array();
+}
+
+std::vector<telemetry::Event> read_events(Reader& r) {
+  std::vector<telemetry::Event> events;
+  r.begin_array();
+  while (r.next()) events.push_back(read_event(r));
+  return events;
+}
+
+void write_snapshot(Writer& w, const telemetry::TelemetrySnapshot& snap) {
+  w.begin_object();
+  w.key("metrics");
+  w.begin_array();
+  for (const auto& m : snap.metrics) write_metric(w, m);
+  w.end_array();
+  w.key("events");
+  w.begin_array();
+  for (const auto& per_socket : snap.events) write_events(w, per_socket);
+  w.end_array();
+  w.key("dumps");
+  w.begin_array();
+  for (const auto& d : snap.dumps) {
+    w.begin_object();
+    w.key("socket");
+    w.i64(d.socket);
+    w.key("at_us");
+    w.i64(d.at_us);
+    w.key("events");
+    write_events(w, d.events);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+}
+
+telemetry::TelemetrySnapshot read_snapshot(Reader& r) {
+  telemetry::TelemetrySnapshot snap;
+  r.begin_object();
+  r.key("metrics");
+  r.begin_array();
+  while (r.next()) snap.metrics.push_back(read_metric(r));
+  r.key("events");
+  r.begin_array();
+  while (r.next()) snap.events.push_back(read_events(r));
+  r.key("dumps");
+  r.begin_array();
+  while (r.next()) {
+    telemetry::FlightDump dump;
+    r.begin_object();
+    r.key("socket");
+    dump.socket = read_narrow<int>(r, std::numeric_limits<int>::min(),
+                                   std::numeric_limits<int>::max(),
+                                   "dump socket");
+    r.key("at_us");
+    dump.at_us = r.i64();
+    r.key("events");
+    dump.events = read_events(r);
+    r.end_object();
+    snap.dumps.push_back(std::move(dump));
+  }
+  r.end_object();
+  return snap;
 }
 
 }  // namespace
 
-json::Value encode_snapshot(const telemetry::TelemetrySnapshot& snap) {
-  Value o = Value::make_object();
-  Value metrics = Value::make_array();
-  for (const auto& m : snap.metrics) metrics.push_back(encode_metric(m));
-  o.add("metrics", std::move(metrics));
-  Value events = Value::make_array();
-  for (const auto& per_socket : snap.events) {
-    Value arr = Value::make_array();
-    for (const auto& e : per_socket) arr.push_back(encode_event(e));
-    events.push_back(std::move(arr));
+std::string write_run_result(const RunResult& result) {
+  std::string out;
+  Writer w(out);
+  w.begin_object();
+
+  w.key("summary");
+  w.begin_object();
+  write_hexes(w, result.summary, kSummaryFields);
+  w.end_object();
+
+  w.key("agent_stats");
+  w.begin_array();
+  for (const auto& a : result.agent_stats) write_agent_stats(w, a);
+  w.end_array();
+
+  w.key("fault_stats");
+  w.begin_array();
+  for (const auto& f : result.fault_stats) {
+    w.begin_array();
+    for (const std::uint64_t c : f.injected) w.u64(c);
+    w.end_array();
   }
-  o.add("events", std::move(events));
-  Value dumps = Value::make_array();
-  for (const auto& d : snap.dumps) {
-    Value dump = Value::make_object();
-    dump.add("socket", Value::make_i64(d.socket));
-    dump.add("at_us", Value::make_i64(d.at_us));
-    Value arr = Value::make_array();
-    for (const auto& e : d.events) arr.push_back(encode_event(e));
-    dump.add("events", std::move(arr));
-    dumps.push_back(std::move(dump));
+  w.end_array();
+
+  w.key("health");
+  w.begin_object();
+  write_u64s(w, result.health, kHealthFields);
+  w.end_object();
+
+  // std::map iterates key-sorted, so phase order is deterministic.
+  w.key("phase_totals");
+  w.begin_array();
+  for (const auto& [name, t] : result.phase_totals) {
+    w.begin_object();
+    w.key("name");
+    w.string(name);
+    write_hexes(w, t, kPhaseFields);
+    w.end_object();
   }
-  o.add("dumps", std::move(dumps));
-  return o;
+  w.end_array();
+
+  if (result.telemetry.has_value()) {
+    w.key("telemetry");
+    write_snapshot(w, *result.telemetry);
+  }
+  w.end_object();
+  return out;
 }
 
-telemetry::TelemetrySnapshot decode_snapshot(const json::Value& v) {
-  telemetry::TelemetrySnapshot snap;
-  for (const Value& m : v.at("metrics").as_array()) {
-    snap.metrics.push_back(decode_metric(m));
-  }
-  for (const Value& per_socket : v.at("events").as_array()) {
-    std::vector<telemetry::Event> events;
-    for (const Value& e : per_socket.as_array()) {
-      events.push_back(decode_event(e));
+RunResult read_run_result(std::string_view bytes) {
+  RunResult res;
+  Reader r(bytes);
+  r.begin_object();
+
+  r.key("summary");
+  r.begin_object();
+  read_hexes(r, res.summary, kSummaryFields);
+  r.end_object();
+
+  r.key("agent_stats");
+  r.begin_array();
+  while (r.next()) res.agent_stats.push_back(read_agent_stats(r));
+
+  r.key("fault_stats");
+  r.begin_array();
+  while (r.next()) {
+    faults::FaultStats fs;
+    r.begin_array();
+    for (std::uint64_t& c : fs.injected) {
+      if (!r.next()) r.error("fault class count mismatch");
+      c = r.u64();
     }
-    snap.events.push_back(std::move(events));
+    r.end_array();
+    res.fault_stats.push_back(fs);
   }
-  for (const Value& d : v.at("dumps").as_array()) {
-    telemetry::FlightDump dump;
-    dump.socket = static_cast<int>(d.at("socket").as_i64());
-    dump.at_us = d.at("at_us").as_i64();
-    for (const Value& e : d.at("events").as_array()) {
-      dump.events.push_back(decode_event(e));
+
+  r.key("health");
+  r.begin_object();
+  read_u64s(r, res.health, kHealthFields);
+  r.end_object();
+
+  r.key("phase_totals");
+  r.begin_array();
+  while (r.next()) {
+    r.begin_object();
+    r.key("name");
+    std::string name = r.string();
+    // The writer walks a std::map: names arrive strictly ascending, and
+    // anything else would not re-encode to the same bytes.
+    if (!res.phase_totals.empty() &&
+        !(res.phase_totals.rbegin()->first < name)) {
+      r.error("phase names out of order");
     }
-    snap.dumps.push_back(std::move(dump));
+    sim::PhaseTotals t;
+    read_hexes(r, t, kPhaseFields);
+    r.end_object();
+    res.phase_totals.emplace_hint(res.phase_totals.end(), std::move(name), t);
   }
-  return snap;
+
+  if (r.optional_key("telemetry")) res.telemetry = read_snapshot(r);
+  r.end_object();
+  r.finish();
+  return res;
 }
 
 json::Value encode_run_result(const RunResult& result) {
-  Value o = Value::make_object();
-
-  Value summary = Value::make_object();
-  const auto& s = result.summary;
-  summary.add("exec_seconds", hex(s.exec_seconds));
-  summary.add("pkg_energy_j", hex(s.pkg_energy_j));
-  summary.add("dram_energy_j", hex(s.dram_energy_j));
-  summary.add("avg_pkg_power_w", hex(s.avg_pkg_power_w));
-  summary.add("avg_dram_power_w", hex(s.avg_dram_power_w));
-  summary.add("total_gflop", hex(s.total_gflop));
-  summary.add("total_gbytes", hex(s.total_gbytes));
-  o.add("summary", std::move(summary));
-
-  Value agents = Value::make_array();
-  for (const auto& a : result.agent_stats) {
-    agents.push_back(encode_agent_stats(a));
-  }
-  o.add("agent_stats", std::move(agents));
-
-  Value faults = Value::make_array();
-  for (const auto& f : result.fault_stats) {
-    Value counts = Value::make_array();
-    for (const std::uint64_t c : f.injected) counts.push_back(Value::make_u64(c));
-    faults.push_back(std::move(counts));
-  }
-  o.add("fault_stats", std::move(faults));
-
-  o.add("health", encode_health(result.health));
-
-  // std::map iterates key-sorted, so phase order is deterministic.
-  Value phases = Value::make_array();
-  for (const auto& [name, t] : result.phase_totals) {
-    Value p = Value::make_object();
-    p.add("name", Value::make_string(name));
-    p.add("wall_seconds", hex(t.wall_seconds));
-    p.add("pkg_energy_j", hex(t.pkg_energy_j));
-    p.add("dram_energy_j", hex(t.dram_energy_j));
-    phases.push_back(std::move(p));
-  }
-  o.add("phase_totals", std::move(phases));
-
-  if (result.telemetry.has_value()) {
-    o.add("telemetry", encode_snapshot(*result.telemetry));
-  }
-  return o;
+  return json::parse(write_run_result(result));
 }
 
 RunResult decode_run_result(const json::Value& v) {
-  RunResult r;
-  const Value& summary = v.at("summary");
-  r.summary.exec_seconds = unhex(summary.at("exec_seconds"));
-  r.summary.pkg_energy_j = unhex(summary.at("pkg_energy_j"));
-  r.summary.dram_energy_j = unhex(summary.at("dram_energy_j"));
-  r.summary.avg_pkg_power_w = unhex(summary.at("avg_pkg_power_w"));
-  r.summary.avg_dram_power_w = unhex(summary.at("avg_dram_power_w"));
-  r.summary.total_gflop = unhex(summary.at("total_gflop"));
-  r.summary.total_gbytes = unhex(summary.at("total_gbytes"));
+  return read_run_result(v.dump());
+}
 
-  for (const Value& a : v.at("agent_stats").as_array()) {
-    r.agent_stats.push_back(decode_agent_stats(a));
-  }
-  for (const Value& f : v.at("fault_stats").as_array()) {
-    const auto& counts = f.as_array();
-    faults::FaultStats fs;
-    if (counts.size() != fs.injected.size()) {
-      throw std::runtime_error("shard_codec: fault class count mismatch");
-    }
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      fs.injected[i] = counts[i].as_u64();
-    }
-    r.fault_stats.push_back(fs);
-  }
-  r.health = decode_health(v.at("health"));
-  for (const Value& p : v.at("phase_totals").as_array()) {
-    sim::PhaseTotals t;
-    t.wall_seconds = unhex(p.at("wall_seconds"));
-    t.pkg_energy_j = unhex(p.at("pkg_energy_j"));
-    t.dram_energy_j = unhex(p.at("dram_energy_j"));
-    r.phase_totals.emplace(p.at("name").as_string(), t);
-  }
-  if (const Value* telem = v.find("telemetry")) {
-    r.telemetry = decode_snapshot(*telem);
-  }
-  return r;
+json::Value encode_snapshot(const telemetry::TelemetrySnapshot& snap) {
+  std::string out;
+  Writer w(out);
+  write_snapshot(w, snap);
+  return json::parse(out);
+}
+
+telemetry::TelemetrySnapshot decode_snapshot(const json::Value& v) {
+  const std::string bytes = v.dump();
+  Reader r(bytes);
+  telemetry::TelemetrySnapshot snap = read_snapshot(r);
+  r.finish();
+  return snap;
 }
 
 }  // namespace dufp::harness

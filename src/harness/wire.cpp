@@ -232,13 +232,18 @@ struct EmitContext {
 };
 
 void emit_records(const std::vector<std::size_t>& indices,
-                  const std::vector<Value>& payloads, std::ostream& out,
+                  const std::vector<std::string>& payloads, std::ostream& out,
                   EmitContext& ctx) {
+  std::string record;
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    Value line = Value::make_object();
-    line.add("job", Value::make_u64(indices[i]));
-    line.add("result", payloads[i]);
-    const std::string record = line.dump();
+    record.clear();
+    json::Writer w(record);
+    w.begin_object();
+    w.key("job");
+    w.u64(indices[i]);
+    w.key("result");
+    w.raw(payloads[i]);
+    w.end_object();
     if (ctx.claimer != nullptr) ctx.claimer->renew();
     if (ctx.chaos != nullptr) {
       ctx.chaos->maybe_kill(ctx.position, out, record);  // may not return
@@ -253,7 +258,7 @@ void emit_records(const std::vector<std::size_t>& indices,
 
 void run_shard_wire(
     const WireIdentity& id, const ShardRunOptions& options,
-    const std::function<std::vector<json::Value>(
+    const std::function<std::vector<std::string>(
         const std::vector<std::size_t>&)>& run,
     std::ostream& out) {
   if (options.chunk_size > 0 && options.claimer == nullptr) {
@@ -377,7 +382,7 @@ namespace {
 WireGatherReport gather_wire(
     const WireIdentity& id, const std::vector<std::string>& files,
     const GatherOptions& options,
-    const std::function<void(std::size_t, const json::Value&)>& store) {
+    const std::function<void(std::size_t, std::string_view)>& store) {
   const std::size_t jobs = id.job_count;
   const bool partial = options.partial;
 
@@ -403,21 +408,20 @@ WireGatherReport gather_wire(
     while (!skip_file && std::getline(in, text)) {
       ++line_no;
       if (text.empty()) continue;
-      Value line;
-      try {
-        line = json::parse(text);
-      } catch (const std::exception& e) {
-        // A truncated tail (torn record from a crashed worker) or a
-        // corrupt middle line: in partial mode note it and keep
-        // scanning — every complete record in the file is salvageable.
-        if (!partial) gather_fail(file, line_no, e.what());
-        report.notes.push_back(
-            {file, line_no, strf("unparseable line skipped: %s", e.what())});
-        continue;
-      }
       if (!saw_header) {
         // The first line must be the header — a file that starts with a
         // job record was truncated at the front or is not a shard file.
+        // Headers are parsed tolerantly, as a tree.
+        Value line;
+        try {
+          line = json::parse(text);
+        } catch (const std::exception& e) {
+          if (!partial) gather_fail(file, line_no, e.what());
+          report.notes.push_back(
+              {file, line_no,
+               strf("unparseable line skipped: %s", e.what())});
+          continue;
+        }
         std::string header_problem;
         try {
           if (line.at("format").as_string() != id.format) {
@@ -456,10 +460,23 @@ WireGatherReport gather_wire(
         saw_header = true;
         continue;
       }
+      // A record line is canonical: read its envelope in order and take
+      // the result's raw bytes, with no tree in between.
       std::size_t job = 0;
+      std::string_view result;
       try {
-        job = line.at("job").as_u64();
+        json::Reader r(text);
+        r.begin_object();
+        r.key("job");
+        job = r.u64();
+        r.key("result");
+        result = r.skip_value();
+        r.end_object();
+        r.finish();
       } catch (const std::exception& e) {
+        // A truncated tail (torn record from a crashed worker) or a
+        // corrupt middle line: in partial mode note it and keep
+        // scanning — every complete record in the file is salvageable.
         if (!partial) gather_fail(file, line_no, e.what());
         report.notes.push_back(
             {file, line_no, strf("undecodable record skipped: %s", e.what())});
@@ -477,16 +494,23 @@ WireGatherReport gather_wire(
              strf("job index %zu out of range; skipped", job)});
         continue;
       }
-      const Value* result = line.find("result");
-      if (result == nullptr) {
-        if (!partial) {
-          gather_fail(file, line_no, "record has no \"result\" field");
-        }
+      // Decode before the duplicate verdict: an undecodable line is
+      // damage (a note), never a determinism violation, even when its job
+      // was already gathered.  A re-delivery that decodes overwrites the
+      // slot only when its bytes are identical; otherwise the gather
+      // fails below.
+      try {
+        store(job, result);
+      } catch (const std::exception& e) {
+        if (!partial) gather_fail(file, line_no, e.what());
         report.notes.push_back(
-            {file, line_no, "record has no \"result\" field; skipped"});
+            {file, line_no, strf("undecodable record skipped: %s", e.what())});
         continue;
       }
-      const std::uint64_t hash = json::fnv1a(result->dump());
+      // The raw span is the record's canonical serialization, so this is
+      // the hash of the result value's dump() for every file our writers
+      // produce.
+      const std::uint64_t hash = json::fnv1a(result);
       if (report.have[job]) {
         if (record_hash[job] != hash) {
           // Never tolerated: two different results for one job breaks
@@ -503,14 +527,6 @@ WireGatherReport gather_wire(
                            job));
         }
         ++report.duplicates;  // idempotent re-delivery (reclaimed chunk)
-        continue;
-      }
-      try {
-        store(job, *result);
-      } catch (const std::exception& e) {
-        if (!partial) gather_fail(file, line_no, e.what());
-        report.notes.push_back(
-            {file, line_no, strf("undecodable record skipped: %s", e.what())});
         continue;
       }
       report.have[job] = true;

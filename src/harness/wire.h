@@ -12,6 +12,15 @@
 //     "spec_fingerprint":...,"shard":...,"shards":...,"job_count":...}
 //   - one line per job: {"job":i,"result":{...}} with every double as its
 //     IEEE-754 bit pattern (see harness/shard_codec.h)
+//
+// The layer moves payloads as encoded bytes, never as trees: a worker's
+// payload codec hands over each record's bytes, emit wraps them in the
+// {"job":i,"result":...} envelope verbatim, and gather reads the
+// envelope in order with a json::Reader, hashes the result's raw byte
+// span for the duplicate guard and passes that same span to the payload
+// decoder.  Record lines are canonical (one writer, an in-order reader:
+// reordered keys or stray whitespace make a line undecodable).  The
+// header line stays tolerant — it is parsed as a json::Value tree.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +31,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -193,12 +203,13 @@ struct WireIdentity {
 
 /// Runs this worker's share of the jobs and streams the versioned JSONL
 /// (header line + one line per job) to `out`.  `run` executes a batch of
-/// job indices and returns one encoded payload per index, in order —
-/// everything else (static/dynamic assignment, resume filters, lease
-/// renewal, chaos injection, crash-safe flushing) lives here.
+/// job indices and returns one encoded payload (its canonical JSON
+/// bytes) per index, in order — everything else (static/dynamic
+/// assignment, resume filters, lease renewal, chaos injection,
+/// crash-safe flushing) lives here.
 void run_shard_wire(
     const WireIdentity& id, const ShardRunOptions& options,
-    const std::function<std::vector<json::Value>(
+    const std::function<std::vector<std::string>(
         const std::vector<std::size_t>&)>& run,
     std::ostream& out);
 
@@ -237,13 +248,18 @@ struct WireGatherReport {
 
 /// Reads wire JSONL files back, validating headers against `id` and
 /// demanding every job exactly once across the input set.  `store` is
-/// called once per fresh record with the job index and its "result"
-/// value; it decodes and keeps the payload (a throw is treated exactly
-/// like an undecodable record).  Strict mode throws at the first
-/// problem; partial mode salvages (see GatherOptions).
+/// called with the job index and the raw bytes of its "result" value
+/// (valid only during the call); it decodes the payload into the job's
+/// slot, and a throw is treated as an undecodable record.  It runs for
+/// every record whose envelope reads — re-deliveries included, before
+/// the duplicate verdict — so damage is always a note, never mistaken
+/// for a determinism violation; an accepted re-delivery carries the same
+/// bytes and so decodes to the same payload.  Lines are read one at a
+/// time: at most one record's bytes are held.  Strict mode throws at the
+/// first problem; partial mode salvages (see GatherOptions).
 WireGatherReport gather_wire(
     const WireIdentity& id, const std::vector<std::string>& files,
     const GatherOptions& options,
-    const std::function<void(std::size_t, const json::Value&)>& store);
+    const std::function<void(std::size_t, std::string_view)>& store);
 
 }  // namespace dufp::harness

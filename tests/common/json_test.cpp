@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace dufp::json {
 namespace {
@@ -76,6 +78,156 @@ TEST(JsonTest, HexDoubleIsBitExact) {
   EXPECT_EQ(double_to_hex(-0.0), "8000000000000000");
   EXPECT_THROW(hex_to_double("123"), std::runtime_error);
   EXPECT_THROW(hex_to_double("zzzzzzzzzzzzzzzz"), std::runtime_error);
+}
+
+TEST(JsonTest, IntegerAccessorsAcceptExactlyTheirTokenRange) {
+  auto num = [](const char* token) { return parse(token); };
+  EXPECT_EQ(num("18446744073709551615").as_u64(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_THROW(num("18446744073709551616").as_u64(), std::runtime_error);
+  EXPECT_THROW(num("-1").as_u64(), std::runtime_error);
+  EXPECT_THROW(num("-0").as_u64(), std::runtime_error);
+  EXPECT_EQ(num("007").as_u64(), 7u);
+  EXPECT_THROW(num("1e3").as_u64(), std::runtime_error);
+  EXPECT_THROW(num("1.0").as_u64(), std::runtime_error);
+
+  EXPECT_EQ(num("-9223372036854775808").as_i64(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(num("9223372036854775807").as_i64(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_THROW(num("9223372036854775808").as_i64(), std::runtime_error);
+  EXPECT_THROW(num("-9223372036854775809").as_i64(), std::runtime_error);
+  EXPECT_EQ(num("-0").as_i64(), 0);
+  EXPECT_EQ(num("-1").as_i64(), -1);
+  EXPECT_EQ(num("007").as_i64(), 7);
+  EXPECT_THROW(num("1e3").as_i64(), std::runtime_error);
+
+  EXPECT_EQ(Value::make_u64(std::numeric_limits<std::uint64_t>::max()).dump(),
+            "18446744073709551615");
+  EXPECT_EQ(Value::make_i64(std::numeric_limits<std::int64_t>::min()).dump(),
+            "-9223372036854775808");
+  EXPECT_EQ(Value::make_i64(0).dump(), "0");
+}
+
+TEST(JsonTest, WriterEmitsExactlyWhatDumpEmits) {
+  std::string out;
+  Writer w(out);
+  w.begin_object();
+  w.key("a");
+  w.begin_array();
+  w.u64(0);
+  w.i64(-7);
+  w.hex(-0.0);
+  w.string("q\"\\\n\x1f");
+  w.begin_object();
+  w.end_object();
+  w.begin_array();
+  w.end_array();
+  w.end_array();
+  w.key("b");
+  w.boolean(true);
+  w.key("c");
+  w.null();
+  w.key("d");
+  w.raw("{\"x\":1}");
+  w.end_object();
+  EXPECT_EQ(out,
+            R"({"a":[0,-7,"8000000000000000","q\"\\\n\u001f",{},[]],)"
+            R"("b":true,"c":null,"d":{"x":1}})");
+  EXPECT_EQ(parse(out).dump(), out);
+}
+
+TEST(JsonTest, ReaderReadsACanonicalDocumentInOrder) {
+  const std::string text =
+      R"({"n":18446744073709551615,"i":-5,"h":"3ff0000000000000",)"
+      R"("s":"a\"\u0001","arr":[1,2],"sub":{"k":[true,null]},"b":false})";
+  Reader r(text);
+  r.begin_object();
+  r.key("n");
+  EXPECT_EQ(r.u64(), std::numeric_limits<std::uint64_t>::max());
+  r.key("i");
+  EXPECT_EQ(r.i64(), -5);
+  r.key("h");
+  EXPECT_EQ(r.hex(), 1.0);
+  r.key("s");
+  EXPECT_EQ(r.string(), "a\"\x01");
+  r.key("arr");
+  r.begin_array();
+  std::vector<std::uint64_t> items;
+  while (r.next()) items.push_back(r.u64());
+  EXPECT_EQ(items, (std::vector<std::uint64_t>{1, 2}));
+  r.key("sub");
+  EXPECT_EQ(r.skip_value(), R"({"k":[true,null]})");
+  EXPECT_THROW(Reader(r).optional_key("absent"), std::runtime_error)
+      << "another member follows: \"absent\" is not optional here";
+  r.key("b");
+  EXPECT_FALSE(r.boolean());
+  EXPECT_FALSE(r.optional_key("absent"));
+  r.end_object();
+  r.finish();
+}
+
+TEST(JsonTest, ReaderRejectsNonCanonicalTokens) {
+  auto read = [](const std::string& text, auto&& fn) {
+    Reader r(text);
+    fn(r);
+    r.finish();
+  };
+  auto u64 = [](Reader& r) { r.u64(); };
+  auto i64 = [](Reader& r) { r.i64(); };
+  auto hex = [](Reader& r) { r.hex(); };
+  auto str = [](Reader& r) { r.string(); };
+  auto key = [](Reader& r) {
+    r.begin_object();
+    r.key("a");
+    r.u64();
+    r.end_object();
+  };
+  EXPECT_NO_THROW(read("0", u64));
+  EXPECT_THROW(read("007", u64), std::runtime_error);
+  EXPECT_THROW(read("-1", u64), std::runtime_error);
+  EXPECT_THROW(read("18446744073709551616", u64), std::runtime_error);
+  EXPECT_THROW(read("1e3", u64), std::runtime_error);
+  EXPECT_THROW(read("", u64), std::runtime_error);
+  EXPECT_NO_THROW(read("-9223372036854775808", i64));
+  EXPECT_THROW(read("-0", i64), std::runtime_error);
+  EXPECT_THROW(read("-", i64), std::runtime_error);
+  EXPECT_THROW(read("01", i64), std::runtime_error);
+  EXPECT_THROW(read("9223372036854775808", i64), std::runtime_error);
+  EXPECT_THROW(read(R"("3ff000000000000")", hex), std::runtime_error);
+  EXPECT_THROW(read(R"("3ff00000000000000")", hex), std::runtime_error);
+  EXPECT_THROW(read(R"("3FF0000000000000")", hex), std::runtime_error);
+  EXPECT_THROW(read(R"("3ff000000000000g")", hex), std::runtime_error);
+  EXPECT_THROW(read(R"("a\/b")", str), std::runtime_error);
+  EXPECT_THROW(read(R"("\u000a")", str), std::runtime_error);
+  EXPECT_THROW(read(R"("\u0041")", str), std::runtime_error);
+  EXPECT_THROW(read(R"("\u001F")", str), std::runtime_error);
+  EXPECT_THROW(read("\"a\nb\"", str), std::runtime_error);
+  EXPECT_THROW(read(R"("unterminated)", str), std::runtime_error);
+  EXPECT_NO_THROW(read(R"({"a":1})", key));
+  EXPECT_THROW(read(R"({ "a":1})", key), std::runtime_error);
+  EXPECT_THROW(read(R"({"a" :1})", key), std::runtime_error);
+  EXPECT_THROW(read(R"({"b":1})", key), std::runtime_error);
+  EXPECT_THROW(read(R"({"a":1,"b":2})", key), std::runtime_error);
+  EXPECT_THROW(read(R"({"a":1} )", key), std::runtime_error);
+
+  // skip_value checks structure (the decoding reader checks grammar) and
+  // bounds its nesting.
+  auto skip = [](Reader& r) { r.skip_value(); };
+  EXPECT_NO_THROW(read(R"({"a":[1,-2.5e+3,"x\"]",{}],"b":null})", skip));
+  EXPECT_NO_THROW(read("17", skip));
+  EXPECT_THROW(read(R"({"a":[1}])", skip), std::runtime_error);
+  EXPECT_THROW(read(R"({"a":"x})", skip), std::runtime_error);
+  EXPECT_THROW(read(R"({"a":[1])", skip), std::runtime_error);
+  EXPECT_THROW(read("]", skip), std::runtime_error);
+  EXPECT_THROW(read(",", skip), std::runtime_error);
+  EXPECT_THROW(read(std::string(100000, '['), skip), std::runtime_error);
+  try {
+    read(R"({"a":1,"b":2})", key);
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("offset 6"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(JsonTest, Fnv1aMatchesReferenceVectors) {

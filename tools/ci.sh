@@ -260,6 +260,33 @@ cmp "${fleet_dir}/partial.alloc.csv" "${fleet_dir}/serial.alloc.csv" || {
 }
 echo "fleet smoke: serial = sharded = salvage+resume, bytes identical"
 
+echo "== wire format pin =="
+# The shard wire (DESIGN.md § Sharded execution) is pinned by a grid and
+# a fleet shard file captured from the CLI before the streaming codec
+# existed.  Regenerating each from its checked-in spec must give the same
+# bytes, so a format drift fails here even if the writer and the reader
+# drifted together.
+wire_dir="${build_dir}/wire-out"
+rm -rf "${wire_dir}"
+mkdir -p "${wire_dir}"
+grid_golden="${repo_root}/tests/harness/golden/wire_grid"
+fleet_golden="${repo_root}/tests/fleet/golden/wire_fleet"
+DUFP_QUIET=1 "${shard_worker}" run --spec "${grid_golden}.spec.json" \
+    --out "${wire_dir}/grid.jsonl" 2> /dev/null
+DUFP_QUIET=1 "${shard_worker}" fleet-run --spec "${fleet_golden}.spec.json" \
+    --out "${wire_dir}/fleet.jsonl" 2> /dev/null
+cmp "${wire_dir}/grid.jsonl" "${grid_golden}.jsonl" || {
+  echo "wire pin: FORMAT DRIFT: the grid shard file differs from" \
+       "${grid_golden}.jsonl" >&2
+  exit 1
+}
+cmp "${wire_dir}/fleet.jsonl" "${fleet_golden}.jsonl" || {
+  echo "wire pin: FORMAT DRIFT: the fleet shard file differs from" \
+       "${fleet_golden}.jsonl" >&2
+  exit 1
+}
+echo "wire pin: grid and fleet shard files byte-identical to the goldens"
+
 echo "== fleet_scaling smoke =="
 # Every registered fleet allocator on the 2x2x2 smoke fleet, serial vs
 # supervised-sharded byte-compared inside the bench (it exits non-zero
