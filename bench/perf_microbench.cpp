@@ -12,7 +12,9 @@
 #include "msr/sim_msr.h"
 #include "perfmon/sampler.h"
 #include "perfmon/sim_counter_source.h"
+#include "rapl/firmware_governor.h"
 #include "rapl/rapl_engine.h"
+#include "rapl/scale_thresholds.h"
 #include "sim/simulation.h"
 #include "telemetry/telemetry.h"
 #include "workloads/profiles.h"
@@ -59,6 +61,47 @@ void BM_PowerModelInverse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PowerModelInverse);
+
+/// The same question a cell-edge probe asks through the scale-space
+/// thresholds: does the search at `target` reach grid state 9?  One
+/// subtraction, one division and a compare against a pinned threshold
+/// (the power split is computed once per edge, outside the probes).
+void BM_ScaleThresholdProbe(benchmark::State& state) {
+  const hw::SocketConfig cfg;
+  const hw::PowerModel model(cfg.power, cfg.cores, cfg.f_ref_mhz(),
+                             cfg.fu_ref_mhz());
+  const rapl::ScaleThresholds th = rapl::ScaleThresholds::pin(cfg);
+  const hw::PowerModel::PowerSplit split =
+      model.power_split(2000.0, bench_demand());
+  double target = 70.0;
+  for (auto _ : state) {
+    const hw::PowerModel::ScaleTarget t =
+        hw::PowerModel::reduce_to_scale(target, split);
+    benchmark::DoNotOptimize(t.branch == hw::PowerModel::ScaleBranch::kScale &&
+                             t.scale >= th.at[9]);
+    target = target >= 115.0 ? 70.0 : target + 5.0;
+  }
+}
+BENCHMARK(BM_ScaleThresholdProbe);
+
+/// One cold cell-edge build (FirmwareGovernor::lowest_allowance_reaching)
+/// per iteration, for a mid-grid P-state: through the scale-space
+/// thresholds (arg 0) or the power model's bisection (arg 1).
+void BM_ColdEdgeBuild(benchmark::State& state) {
+  const hw::SocketConfig cfg;
+  hw::SocketModel socket(cfg, 0);
+  socket.set_demand(bench_demand());
+  const rapl::FirmwareGovernor gov(socket, rapl::GovernorParams{});
+  const bool bisection = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bisection ? gov.lowest_allowance_bisection(9)
+                                       : gov.lowest_allowance_reaching(9));
+  }
+  state.counters["probes_per_build"] = benchmark::Counter(
+      static_cast<double>(gov.cell_stats().probes),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ColdEdgeBuild)->Arg(0)->Arg(1);
 
 void BM_SocketEvaluate(benchmark::State& state) {
   const hw::SocketConfig cfg;

@@ -1,5 +1,6 @@
 #include "hwmodel/power_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -56,25 +57,37 @@ double PowerModel::package_power_w(double core_mhz, double uncore_mhz,
          uncore_power_w(uncore_mhz, demand);
 }
 
+PowerModel::PowerSplit PowerModel::power_split(
+    double uncore_mhz, const PhaseDemand& demand) const {
+  PowerSplit s;
+  s.fixed_w = params_.static_w +
+              static_cast<double>(cores_) * params_.core_idle_w +
+              uncore_power_w(uncore_mhz, demand);
+  s.dyn_at_ref_w =
+      static_cast<double>(cores_) * params_.core_dyn_w * demand.cpu_activity;
+  return s;
+}
+
 double PowerModel::core_mhz_for_power(double target_w, double uncore_mhz,
                                       const PhaseDemand& demand) const {
-  const double fixed = params_.static_w +
-                       static_cast<double>(cores_) * params_.core_idle_w +
-                       uncore_power_w(uncore_mhz, demand);
-  const double dyn_budget_w = target_w - fixed;
-  const double dyn_at_ref =
-      static_cast<double>(cores_) * params_.core_dyn_w * demand.cpu_activity;
-  if (dyn_budget_w <= 0.0) return 0.0;
-  if (dyn_at_ref <= 0.0) return f_ref_mhz_;
-  const double target_scale = dyn_budget_w / dyn_at_ref;
-  if (target_scale >= 1.0) {
-    // Even the reference clock fits; clamp to it.
-    return f_ref_mhz_;
+  const ScaleTarget t =
+      reduce_to_scale(target_w, power_split(uncore_mhz, demand));
+  switch (t.branch) {
+    case ScaleBranch::kNone:
+      return 0.0;
+    case ScaleBranch::kRef:
+      return f_ref_mhz_;
+    case ScaleBranch::kScale:
+      break;
   }
+  return core_mhz_for_scale(t.scale);
+}
 
+double PowerModel::core_mhz_for_scale(double target_scale) const {
   // Invert s(x) = x * V(x)^2.  In the floor region s is linear; above it
-  // s is a cubic in x — solve by bisection (monotone, ~40 iterations,
-  // exact to 1e-10; still far cheaper than anything else in a tick).
+  // s is a cubic in x — solve by a fixed 60-step bisection (monotone in
+  // target_scale; each step halves the bracket, so it ends at the
+  // double-precision resolution of x).
   const double x_floor =
       1.0 - (1.0 - params_.v_min_frac) / params_.v_slope;
   const double s_floor =
@@ -94,6 +107,22 @@ double PowerModel::core_mhz_for_power(double target_w, double uncore_mhz,
     }
   }
   return 0.5 * (lo + hi) * f_ref_mhz_;
+}
+
+PowerModel::ScaleShape PowerModel::scale_shape() const {
+  // The same expressions core_mhz_for_scale evaluates.
+  const double x_floor =
+      1.0 - (1.0 - params_.v_min_frac) / params_.v_slope;
+  ScaleShape out;
+  out.has_floor = x_floor > 0.0;
+  out.floor_scale = out.has_floor ? dvfs_scale(x_floor, params_) : 0.0;
+  const double lo = std::max(x_floor, 0.0);  // NaN stays NaN
+  // For x_floor > 0 the floor branch scales by x_floor / s_floor
+  // (s_floor > 0), or is the single point 0 (s_floor == 0).
+  const bool floor_ok = !out.has_floor || (std::isfinite(x_floor) &&
+                                           std::isfinite(out.floor_scale));
+  out.monotone_branches = lo >= 0.0 && lo <= 1.0 && floor_ok;
+  return out;
 }
 
 double PowerModel::dram_power_w(double bytes_per_second) const {

@@ -96,17 +96,8 @@ double SocketModel::package_power_at(double core_mhz) const {
 }
 
 double SocketModel::core_mhz_for_power(double target_w) const {
-  // Exact-input memo: a hit replays the identical bisection result, so
-  // the memo is invisible to the determinism contract.
-  if (inverse_version_ == state_version_ && target_w == inverse_target_w_) {
-    return inverse_result_mhz_;
-  }
-  const double mhz = power_model_.core_mhz_for_power(
-      target_w, effective_uncore_mhz(), demand_);
-  inverse_version_ = state_version_;
-  inverse_target_w_ = target_w;
-  inverse_result_mhz_ = mhz;
-  return mhz;
+  return power_model_.core_mhz_for_power(target_w, effective_uncore_mhz(),
+                                         demand_);
 }
 
 }  // namespace dufp::hw

@@ -101,20 +101,20 @@ class SocketModel {
 
   /// Unquantized core clock at which package power would equal `target_w`
   /// (current demand and uncore setting); see
-  /// PowerModel::core_mhz_for_power.
-  ///
-  /// Memoized on exact input equality: the RAPL governor calls this every
-  /// tick with an allowance derived from its power windows, and in steady
-  /// state (constant recorded power, constant demand) that allowance is
-  /// bit-identical tick after tick — so the bisection (the single hottest
-  /// computation in a simulation tick) runs only when something actually
-  /// moved.
+  /// PowerModel::core_mhz_for_power.  Not on the engine path: the RAPL
+  /// governor decides through its cell edges and scale-space thresholds.
   double core_mhz_for_power(double target_w) const;
+
+  /// The fixed and dynamic power terms at the current demand and uncore
+  /// setting (PowerModel::power_split).
+  PowerModel::PowerSplit power_split() const {
+    return power_model_.power_split(effective_uncore_mhz(), demand_);
+  }
 
   /// Monotone counter bumped whenever demand or the uncore window — the
   /// inputs of core_mhz_for_power besides the target — actually change.
   /// Callers that cache anything derived from the power-to-frequency
-  /// inverse (the governor's plan bands) key their caches on it.
+  /// inverse (the governor's cell edges) key their caches on it.
   std::uint64_t state_version() const { return state_version_; }
 
   // -- ground-truth accounting ---------------------------------------------------
@@ -229,13 +229,8 @@ class SocketModel {
   mutable InstantWay instant_ways_[kInstantWays];
   mutable std::uint8_t instant_rr_ = 0;
 
-  // Inverse-model memo: valid while inverse_version_ matches
-  // state_version_ (bumped by any demand / uncore-window change — the
-  // inputs core_mhz_for_power depends on besides target_w).
-  mutable std::uint64_t state_version_ = 1;
-  mutable std::uint64_t inverse_version_ = 0;
-  mutable double inverse_target_w_ = 0.0;
-  mutable double inverse_result_mhz_ = 0.0;
+  // Bumped by any demand / uncore-window change (see state_version()).
+  std::uint64_t state_version_ = 1;
 
   double pkg_energy_j_ = 0.0;
   double dram_energy_j_ = 0.0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -235,6 +236,58 @@ TEST(JsonTest, Fnv1aMatchesReferenceVectors) {
   EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
   EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+}
+
+// Hostile bytes: every truncation of a canonical document and a seeded
+// storm of single-byte flips must each parse to a value or throw a typed
+// std::runtime_error — never crash, hang or throw anything else.  Runs
+// under tools/run_tier1_ubsan.sh like the rest of tier-1.
+TEST(JsonTest, ParseSurvivesTruncationAndByteFlips) {
+  const std::string doc =
+      R"({"format":"dufp-shard-result","version":1,"jobs":[0,1,2,3],)"
+      R"("spec":{"apps":["CG","EP"],"tolerance":[0,0.05,1e-3,-2.5E+2],)"
+      R"("seed":18446744073709551615,"neg":-9223372036854775808},)"
+      R"("x":"0x1.921fb54442d18p+1","s":"a\"b\\c\n\u0001é",)"
+      R"("ok":true,"bad":false,"note":null,"nested":[[[]],{},[{"k":[]}]]})";
+  ASSERT_NO_THROW(parse(doc));
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  const auto feed = [&](const std::string& text) {
+    try {
+      const Value v = parse(text);
+      (void)v.dump();
+      ++parsed;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (...) {
+      ADD_FAILURE() << "untyped exception for input: " << text;
+    }
+  };
+  for (std::size_t n = 0; n <= doc.size(); ++n) feed(doc.substr(0, n));
+  std::uint64_t x = 0x6a50'0f1a'5eedULL;
+  const auto next = [&] {
+    // xorshift64*: a self-contained seeded stream.
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    return x * 0x2545f4914f6cdd1dULL;
+  };
+  constexpr int kFlips = 4000;
+  for (int i = 0; i < kFlips; ++i) {
+    std::string text = doc;
+    const std::uint64_t r = next();
+    const std::size_t at = static_cast<std::size_t>(r % text.size());
+    // Half the flips flip one bit, half write an arbitrary byte.
+    if (i % 2 == 0) {
+      text[at] = static_cast<char>(text[at] ^ (1u << ((r >> 32) % 8)));
+    } else {
+      text[at] = static_cast<char>((r >> 40) & 0xff);
+    }
+    feed(text);
+  }
+  EXPECT_EQ(parsed + rejected, doc.size() + 1 + kFlips);
+  EXPECT_GT(rejected, doc.size()) << "nearly every truncation must be rejected";
+  EXPECT_GT(parsed, 0u) << "some flips land in string bodies and still parse";
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "common/rng.h"
 #include "hwmodel/socket_config.h"
 
 namespace dufp::hw {
@@ -157,6 +162,103 @@ TEST_F(PowerModelTest, RejectsNonPositiveFrequency) {
                std::invalid_argument);
   EXPECT_THROW(model_.package_power_w(2800.0, -1.0, d),
                std::invalid_argument);
+}
+
+/// The inverse as one function, as it stood before it was split into a
+/// reduction and a scale inverse: the split must not move a bit.
+double monolithic_core_mhz_for_power(const SocketConfig& cfg, double target_w,
+                                     double uncore_mhz, const PhaseDemand& d) {
+  const PowerModelParams& p = cfg.power;
+  const auto scale = [&](double x) {
+    double v = 1.0 - p.v_slope * (1.0 - x);
+    v = v > p.v_min_frac ? v : p.v_min_frac;
+    return x * v * v;
+  };
+  const double fixed =
+      p.static_w + static_cast<double>(cfg.cores) * p.core_idle_w +
+      (p.uncore_base_w *
+           std::pow(uncore_mhz / cfg.fu_ref_mhz(), p.uncore_alpha) +
+       p.uncore_act_w * d.mem_activity);
+  const double dyn_budget_w = target_w - fixed;
+  const double dyn_at_ref =
+      static_cast<double>(cfg.cores) * p.core_dyn_w * d.cpu_activity;
+  if (dyn_budget_w <= 0.0) return 0.0;
+  if (dyn_at_ref <= 0.0) return cfg.f_ref_mhz();
+  const double target_scale = dyn_budget_w / dyn_at_ref;
+  if (target_scale >= 1.0) return cfg.f_ref_mhz();
+  const double x_floor = 1.0 - (1.0 - p.v_min_frac) / p.v_slope;
+  const double s_floor = x_floor > 0.0 ? scale(x_floor) : 0.0;
+  if (x_floor > 0.0 && target_scale <= s_floor) {
+    return x_floor * target_scale / s_floor * cfg.f_ref_mhz();
+  }
+  double lo = std::max(x_floor, 0.0);
+  double hi = 1.0;
+  for (int i = 0; i < 60; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (scale(mid) > target_scale) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return 0.5 * (lo + hi) * cfg.f_ref_mhz();
+}
+
+// core_mhz_for_power is the composition of its two halves bit for bit:
+// the reduction to a target scale (with its early returns) and the scale
+// inverse.  Swept over configs, uncore clocks, activities (including
+// zero, negative zero and denormal core activity) and targets from far
+// below the fixed power to far above the reference power.
+TEST(PowerModelHalvesTest, InverseIsTheCompositionOfItsHalves) {
+  Rng rng(0x5ca1e'0001ULL);
+  const double activities[] = {0.0, -0.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               1e-300, 0.02, 0.5, 1.0, 1.2};
+  for (int c = 0; c < 24; ++c) {
+    SocketConfig cfg;
+    cfg.power.static_w = rng.uniform(5.0, 30.0);
+    cfg.power.core_idle_w = rng.uniform(0.1, 1.0);
+    cfg.power.core_dyn_w = rng.uniform(1.0, 6.0);
+    cfg.power.v_slope = c % 4 == 0 ? 0.2 : rng.uniform(0.3, 0.8);
+    cfg.power.v_min_frac = c % 4 == 1 ? 0.9999 : rng.uniform(0.5, 0.95);
+    cfg.cores = 8 + 4 * (c % 6);
+    const PowerModel model(cfg.power, cfg.cores, cfg.f_ref_mhz(),
+                           cfg.fu_ref_mhz());
+    for (int k = 0; k < 40; ++k) {
+      PhaseDemand d = compute_demand();
+      d.cpu_activity = k < 8 ? activities[k] : rng.uniform(0.0, 1.3);
+      d.mem_activity = rng.uniform(0.0, 1.0);
+      const double fu = 1200.0 + 100.0 * static_cast<int>(rng.uniform(0, 13));
+      const PowerModel::PowerSplit split = model.power_split(fu, d);
+      for (int j = 0; j < 50; ++j) {
+        const double target = rng.uniform(0.0, 2.0 * split.fixed_w + 200.0);
+        const PowerModel::ScaleTarget t =
+            PowerModel::reduce_to_scale(target, split);
+        double composed = 0.0;
+        switch (t.branch) {
+          case PowerModel::ScaleBranch::kNone:
+            composed = 0.0;
+            break;
+          case PowerModel::ScaleBranch::kRef:
+            composed = model.f_ref_mhz();
+            break;
+          case PowerModel::ScaleBranch::kScale:
+            composed = model.core_mhz_for_scale(t.scale);
+            break;
+        }
+        const double inverse = model.core_mhz_for_power(target, fu, d);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(inverse),
+                  std::bit_cast<std::uint64_t>(composed))
+            << "config " << c << " activity " << d.cpu_activity
+            << " target " << target;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(inverse),
+                  std::bit_cast<std::uint64_t>(
+                      monolithic_core_mhz_for_power(cfg, target, fu, d)))
+            << "config " << c << " activity " << d.cpu_activity
+            << " target " << target;
+      }
+    }
+  }
 }
 
 // Parameterized sweep: the forward/inverse pair must agree at every
